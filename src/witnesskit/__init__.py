@@ -13,6 +13,7 @@ from .operators import (
     DENSE_SIDE_CAP,
     DimensionError,
     HermitianOperator,
+    NonFiniteError,
     NonHermitianError,
     ProductVector,
     Spectrum,

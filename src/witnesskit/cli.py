@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -444,6 +445,10 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, ArithmeticError, TypeError) as exc:
+        return _error_report(args.command, exc)
+    except Exception as exc:
+        # not an input error: report it the same way, keep the traceback
+        traceback.print_exc(file=sys.stderr)
         return _error_report(args.command, exc)
 
 

@@ -14,7 +14,9 @@ works with the two small value types defined here:
 
 Hermiticity and normalization are *rejected*, never repaired: silently
 symmetrizing input hides caller bugs that later surface as spurious
-imaginary expectation values.
+imaginary expectation values.  Non-finite entries are rejected too: a
+NaN compares False against every tolerance, so it would slip through
+the Hermiticity check and reach the eigensolvers.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 __all__ = [
     "DimensionError",
     "HermitianOperator",
+    "NonFiniteError",
     "NonHermitianError",
     "ProductVector",
     "Spectrum",
@@ -57,6 +60,16 @@ class DimensionError(ValueError):
     """Shapes, factor dimensions or dense-size budgets do not line up."""
 
 
+class NonFiniteError(ValueError):
+    """Input matrix has a NaN or infinite entry."""
+
+
+def check_finite(arr, what):
+    """Raise ``NonFiniteError`` unless every entry of arr is finite."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{what} has non-finite entries")
+
+
 class HermitianOperator:
     """A Hermitian matrix acting on a tensor product of finite factors.
 
@@ -65,9 +78,10 @@ class HermitianOperator:
     dims : sequence of int
         Ordered factor dimensions, e.g. ``(2, 3)`` for C^2 (x) C^3.
     entries : array_like
-        Square complex matrix of side ``prod(dims)``.  Must be Hermitian
-        entrywise within ``HERMITICITY_ATOL``; violations raise
-        ``NonHermitianError`` rather than being averaged away.
+        Square complex matrix of side ``prod(dims)``.  Must be finite
+        (else ``NonFiniteError``) and Hermitian entrywise within
+        ``HERMITICITY_ATOL``; violations raise ``NonHermitianError``
+        rather than being averaged away.
     """
 
     __slots__ = ("_dims", "_entries")
@@ -83,6 +97,7 @@ class HermitianOperator:
                 f"entries shape {arr.shape} does not match factor dims {dims} "
                 f"(expected {(side, side)})"
             )
+        check_finite(arr, "matrix")
         gap = np.abs(arr - arr.conj().T).max() if side else 0.0
         if gap > HERMITICITY_ATOL:
             raise NonHermitianError(

@@ -32,6 +32,7 @@ from .operators import (
     DimensionError,
     HermitianOperator,
     NonHermitianError,
+    check_finite,
 )
 
 __all__ = [
@@ -67,6 +68,7 @@ class DenseFactor(_Factor):
         arr = np.array(matrix, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"dense factor must be square, got {arr.shape}")
+        check_finite(arr, "dense factor")
         if np.abs(arr - arr.conj().T).max() > HERMITICITY_ATOL:
             raise NonHermitianError("dense factor is not Hermitian")
         arr.setflags(write=False)
@@ -151,6 +153,7 @@ class SwapKronFactor(_Factor):
         if isinstance(m, HermitianOperator):
             m = m.entries
         arr = np.array(m, dtype=np.complex128)
+        check_finite(arr, "SwapKronFactor block")
         if np.abs(arr - arr.conj().T).max() > HERMITICITY_ATOL:
             raise NonHermitianError("SwapKronFactor block is not Hermitian")
         arr.setflags(write=False)

@@ -72,6 +72,28 @@ def test_classify_malformed_json_exit_one(tmp_path, capsys):
     assert report["status"] == "error"
 
 
+def test_classify_non_finite_entry_exit_one(tmp_path, capsys):
+    entries = np.eye(4)
+    entries[2, 2] = np.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"dims": [2, 2], "re": entries.tolist()}))
+    code, report = _run(capsys, ["classify", str(path)])
+    assert code == cli.EXIT_ERROR
+    assert report["status"] == "error"
+    assert "NonFiniteError" in report["error"]
+
+
+def test_unexpected_failure_reaches_json_error(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("see-saw objective increased")
+
+    monkeypatch.setattr(cli, "min_product_expectation", boom)
+    code, report = _run(capsys, ["minprod", _sigma1_witness_path(tmp_path)])
+    assert code == cli.EXIT_ERROR
+    assert report["status"] == "error"
+    assert report["error"] == "RuntimeError: see-saw objective increased"
+
+
 # ---------------------------------------------------------------------------
 # minprod
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from witnesskit.operators import (
     DENSE_SIDE_CAP,
     DimensionError,
     HermitianOperator,
+    NonFiniteError,
     NonHermitianError,
     ProductVector,
     conditioned_matrix,
@@ -27,6 +28,14 @@ from witnesskit.sampling import random_hermitian, random_product_vector, rng_for
 def test_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         HermitianOperator((1, 2), [[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_rejects_non_finite(bad):
+    entries = np.eye(4, dtype=np.complex128)
+    entries[1, 1] = bad
+    with pytest.raises(NonFiniteError):
+        HermitianOperator((2, 2), entries)
 
 
 def test_rejects_shape_mismatch():

@@ -6,20 +6,25 @@ import numpy as np
 import pytest
 
 from witnesskit.families import (
+    bell_state_witness,
     choi_sigma,
     sigma1,
     two_block_witness,
     two_block_witness_optimal,
     w_xyz,
 )
+from witnesskit.lift import lift_witness
 from witnesskit.operators import (
     DimensionError,
     HermitianOperator,
+    conditioned_matrix,
     partial_transpose,
     product_expectation,
 )
 from witnesskit.optimize import (
     OptimizerConfig,
+    _ground_pair,
+    _StructuredKernel,
     attempt_decomposition,
     collect_zero_products,
     decomposition_search,
@@ -30,7 +35,7 @@ from witnesskit.optimize import (
     ppt_violation_search,
     spanning_rank,
 )
-from witnesskit.sampling import random_hermitian, rng_for
+from witnesskit.sampling import random_hermitian, random_unit_vector, rng_for
 from witnesskit.structured import (
     DenseFactor,
     IdentityFactor,
@@ -125,6 +130,37 @@ def test_bridge_kernel_half_swap():
     dense = HermitianOperator((4, 4), S.to_dense())
     ref = min_product_expectation(dense, CFG)
     assert lo.value == pytest.approx(ref.value, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 256])
+def test_ground_pair_matches_full_eigh(n):
+    M = random_hermitian(rng_for(51, n), (n,)).entries
+    lam, vec = _ground_pair(M)
+    ref = np.linalg.eigvalsh(M)[0]
+    assert abs(lam - ref) <= 1e-12 * (1.0 + abs(ref))
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(M @ vec - lam * vec) <= 1e-10 * np.linalg.norm(M, 2)
+
+
+def test_ground_pair_degenerate_ground_space():
+    lam, vec = _ground_pair(np.diag([0.0, 0.0, 1.0]).astype(np.complex128))
+    assert lam == pytest.approx(0.0, abs=1e-15)
+    assert abs(vec[2]) <= 1e-12
+    assert np.linalg.norm(vec[:2]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_structured_conditioned_matrices_match_dense():
+    # the lifted Bell witness mixes split terms with whole-space bridge terms
+    S = lift_witness(bell_state_witness()).operator
+    kernel = _StructuredKernel(S)
+    assert kernel._coeffs.size and kernel._bridges
+    dense = HermitianOperator((16, 16), S.to_dense())
+    rng = rng_for(52)
+    for _ in range(3):
+        w = random_unit_vector(rng, 16)
+        for side, got in (("A", kernel.cond_a(w)), ("B", kernel.cond_b(w))):
+            ref = conditioned_matrix(dense, side, w)
+            assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
 
 def test_structured_kernel_rejects_straddling_terms():

@@ -5,7 +5,7 @@ used by the see-saw bridge."""
 import numpy as np
 import pytest
 
-from witnesskit.operators import DimensionError, NonHermitianError
+from witnesskit.operators import DimensionError, NonFiniteError, NonHermitianError
 from witnesskit.sampling import random_hermitian, random_unit_vector, rng_for
 from witnesskit.structured import (
     BlockReversalFactor,
@@ -202,3 +202,7 @@ def test_dense_factor_validation():
         DenseFactor(np.zeros((2, 3)))
     with pytest.raises(NonHermitianError):
         DenseFactor(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NonFiniteError):
+        DenseFactor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NonFiniteError):
+        SwapKronFactor(np.array([[1.0, 0.0], [0.0, np.inf]]))
