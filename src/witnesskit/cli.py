@@ -34,7 +34,7 @@ from .lift import (
     state_expectation_components,
     symmetric_expectation_gap,
 )
-from .operators import load_operator, operator_to_json
+from .operators import DENSE_SIDE_CAP, load_operator, operator_to_json
 from .optimize import (
     OptimizerConfig,
     decomposition_search,
@@ -117,7 +117,7 @@ def cmd_classify(args):
             "command": "classify",
             "inputs": {"matrix": args.matrix, "seed": cfg.seed, "restarts": cfg.restarts},
             "results": results,
-            "status": "pass",
+            "status": "pass" if rep.minprod.converged else "indeterminate",
         }
     )
     return EXIT_OK if rep.is_witness else EXIT_NOT_WITNESS
@@ -189,9 +189,9 @@ def cmd_lift(args):
             X, args.alpha, args.beta, args.gamma, C=args.constant, cfg=cfg
         )
     total = int(np.prod(lifted.space))
-    if args.dump_dense and total > 4096:
+    if args.dump_dense and total > DENSE_SIDE_CAP:
         raise ValueError(
-            f"dense dump refused: lifted dimension {total} exceeds 4096"
+            f"dense dump refused: lifted dimension {total} exceeds {DENSE_SIDE_CAP}"
         )
     results = {
         "mode": args.mode,
@@ -414,7 +414,7 @@ def build_parser():
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--constant", type=float, default=None, help="override the penalty constant")
-    p.add_argument("--dump-dense", action="store_true", help="include the dense matrix (dim <= 4096)")
+    p.add_argument("--dump-dense", action="store_true", help=f"include the dense matrix (dim <= {DENSE_SIDE_CAP})")
     _add_common(p)
     p.set_defaults(func=cmd_lift)
 

@@ -190,6 +190,31 @@ class LiftedWitness:
             )
 
 
+def _finish_lift(Y, C, cfg, source_kind, source, params=()):
+    """Probe the symmetric part Y, set the penalty (default
+    C = 2 ||Y||_inf) and assemble the ``LiftedWitness``."""
+    gap = projector_sandwich_gap(Y, n_probes=4, seed=cfg.seed)
+    if gap > 1e-8:
+        raise ArithmeticError(
+            f"symmetric sandwich probe failed on the lift (gap {gap:.3e})"
+        )
+    y_norm = operator_norm(Y, seed=cfg.seed)
+    constant = 2.0 * y_norm if C is None else float(C)
+    asym = _asym_projector(Y.space_dims)
+    return LiftedWitness(
+        operator=Y + asym.scaled(constant),
+        symmetric_part=Y,
+        asym_projector=asym,
+        constant=constant,
+        y_norm=y_norm,
+        space=Y.space_dims,
+        source_kind=source_kind,
+        source=source,
+        params=params,
+        projector_invariance_gap=gap,
+    )
+
+
 def lift_witness(W, C=None, cfg=None):
     """Lift a bipartite witness W to four copies of its full space.
 
@@ -227,26 +252,7 @@ def lift_witness(W, C=None, cfg=None):
         (n, n, n, n),
         [(0.5, (block, block, block, block)), (0.5, (cross, cross))],
     )
-    gap = projector_sandwich_gap(Y, n_probes=4, seed=cfg.seed)
-    if gap > 1e-8:
-        raise ArithmeticError(
-            f"symmetric sandwich probe failed on the lift (gap {gap:.3e})"
-        )
-    y_norm = operator_norm(Y, seed=cfg.seed)
-    constant = 2.0 * y_norm if C is None else float(C)
-    asym = _asym_projector((n, n, n, n))
-    return LiftedWitness(
-        operator=Y + asym.scaled(constant),
-        symmetric_part=Y,
-        asym_projector=asym,
-        constant=constant,
-        y_norm=y_norm,
-        space=(n, n, n, n),
-        source_kind="witness",
-        source=W,
-        params=(),
-        projector_invariance_gap=gap,
-    )
+    return _finish_lift(Y, C, cfg, "witness", W)
 
 
 def _state_symmetric_terms(rho_tilde, s, alpha, beta, gamma):
@@ -338,26 +344,7 @@ def lift_state(rho, alpha, beta, gamma, C=None, cfg=None):
     Y = StructuredOperator(
         (s, s, s, s), _state_symmetric_terms(rho_tilde, s, alpha, beta, gamma)
     )
-    gap = projector_sandwich_gap(Y, n_probes=4, seed=cfg.seed)
-    if gap > 1e-8:
-        raise ArithmeticError(
-            f"symmetric sandwich probe failed on the lift (gap {gap:.3e})"
-        )
-    y_norm = operator_norm(Y, seed=cfg.seed)
-    constant = 2.0 * y_norm if C is None else float(C)
-    asym = _asym_projector((s, s, s, s))
-    return LiftedWitness(
-        operator=Y + asym.scaled(constant),
-        symmetric_part=Y,
-        asym_projector=asym,
-        constant=constant,
-        y_norm=y_norm,
-        space=(s, s, s, s),
-        source_kind="state",
-        source=rho,
-        params=(alpha, beta, gamma),
-        projector_invariance_gap=gap,
-    )
+    return _finish_lift(Y, C, cfg, "state", rho, (alpha, beta, gamma))
 
 
 def symmetric_expectation_gap(lifted, n_probes=50, seed=0):

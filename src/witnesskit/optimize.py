@@ -7,12 +7,18 @@ The workhorse is a see-saw iteration for
 which alternates exact eigensolves of the two conditioned matrices.
 Each half-step is a global minimization over one factor, so the
 objective is non-increasing; the iteration is run from many seeded
-restarts and merged deterministically.  A half-step needs only the
-ground eigenpair, so it calls LAPACK's MRRR driver ``zheevr`` for the
-lowest eigenvalue alone rather than a full ``eigh`` (about 3x cheaper
-at 256 dims).  The raw LAPACK call, not ``scipy.linalg.eigh``, keeps
-the per-call overhead below ``np.linalg.eigh``'s for the thousands of
-2x2 and 3x3 solves of small searches.
+restarts and merged deterministically.  One kernel serves every
+operand: the operator is held as stacked split terms
+sum_k c_k L_k (x) R_k, so a conditioned matrix is two real GEMVs.  A
+``StructuredOperator`` supplies its terms directly; a dense bipartite
+``HermitianOperator`` enters through its Hermitian operator-Schmidt
+form over the orthonormal Hermitian basis of its smaller factor (one
+einsum, no SVD).  A half-step needs only the ground eigenpair, so it
+calls LAPACK's MRRR driver ``zheevr`` for the lowest eigenvalue alone
+rather than a full ``eigh`` (about 3x cheaper at 256 dims).  The raw
+LAPACK call, not ``scipy.linalg.eigh``, keeps the per-call overhead
+below ``np.linalg.eigh``'s for the thousands of 2x2 and 3x3 solves of
+small searches.
 
 Also here: an exhaustive grid oracle used to cross-check the see-saw on
 small instances, a projected-gradient search for PPT states with
@@ -34,7 +40,6 @@ from .operators import (
     DimensionError,
     HermitianOperator,
     ProductVector,
-    conditioned_matrix,
 )
 from .sampling import random_density, random_unit_vector, rng_for
 from .structured import IdentityFactor, StructuredOperator
@@ -101,98 +106,39 @@ class MinProdResult:
 
 
 # ---------------------------------------------------------------------------
-# bipartite kernels: dense matrices and split structured operators
+# the see-saw kernel: stacked split terms for dense and structured operators
 # ---------------------------------------------------------------------------
-
-
-class _DenseKernel:
-    def __init__(self, X):
-        if len(X.dims) != 2:
-            raise DimensionError(
-                f"see-saw needs a bipartite operator, got dims {X.dims}; "
-                "regroup with with_dims first"
-            )
-        self.d_a, self.d_b = X.dims
-        self.op = X
-
-    def cond_a(self, u):
-        return conditioned_matrix(self.op, "A", u)
-
-    def cond_b(self, v):
-        return conditioned_matrix(self.op, "B", v)
 
 
 _DGEMV = get_blas_funcs("gemv", dtype=np.float64)
 
 
-class _StructuredKernel:
-    """Structured operator split as (left half) (x) (right half).
+class _SplitKernel:
+    """Bipartite operator as sum_k c_k L_k (x) R_k plus bridge terms.
 
-    Every term's factor list must hit the bipartition boundary exactly;
-    the dense halves of all such split terms are precomputed stacked,
-    as coefficients ``(r,)`` and rows ``L`` ``(r, d_a**2)`` and ``R``
-    ``(r, d_b**2)``, each half Hermitized once here.  A conditioned
-    matrix then costs one GEMV for the weights c_k Re<w|L_k|w> and one
-    for the weighted sum of the other half's rows, with no per-term
-    temporaries.  The sum is not Hermitized again: real weights on
-    Hermitian rows give a matrix that is Hermitian up to the GEMV's
-    rounding of mirrored entries (~1e-18 at 256 dims), and the
-    ground-pair solve (``zheevr``) reads only one triangle.
-    The GEMVs come from scipy's BLAS, the library ``zheevr`` is linked
-    against.  numpy and scipy wheels each bundle their own OpenBLAS;
-    alternating between the two thread pools every half-step left one
-    pool spinning while the other worked, and with two BLAS threads on
-    two cores made the 65,536-dim state-lift probe about 3x slower
-    (about 20 s against 7 s) than with both GEMVs in scipy's library.
-    A single factor covering the whole space is allowed on a balanced
-    bipartition when it supplies its conditioned matrix in closed form
-    (``bridge_cond``); such bridge terms are added in place.
+    The halves are Hermitian and held stacked: coefficients ``(r,)``,
+    rows ``left`` ``(r, d_a**2)`` and ``right`` ``(r, d_b**2)``.  A
+    conditioned matrix costs one GEMV for the weights c_k Re<w|L_k|w>
+    and one for the weighted sum of the other half's rows.  It is not
+    Hermitized again: real weights on Hermitian rows leave only the
+    GEMV's rounding of mirrored entries (~1e-18 at 256 dims), and
+    ``zheevr`` reads one triangle.  Both GEMVs use scipy's BLAS, the
+    library ``zheevr`` is linked against: numpy and scipy wheels bundle
+    separate OpenBLAS builds, and alternating their thread pools every
+    half-step made the 65,536-dim state-lift probe about 3x slower
+    (about 20 s against 7 s) with two BLAS threads on two cores.
+    Bridge terms are whole-space factors with a closed-form conditioned
+    matrix (``bridge_cond``), added in place.
     """
 
-    def __init__(self, S, dims=None):
-        total = S.total_dim
-        if dims is None:
-            root = math.isqrt(total)
-            if root * root != total:
-                raise DimensionError(
-                    "cannot infer a bipartition; pass dims=(d_left, d_right)"
-                )
-            dims = (root, root)
-        d_a, d_b = dims
-        if d_a * d_b != total:
-            raise DimensionError(f"bipartition {dims} does not tile {total}")
-        if max(d_a, d_b) > DENSE_SIDE_CAP:
-            raise DimensionError(
-                f"see-saw halves {dims} exceed dense cap {DENSE_SIDE_CAP}"
-            )
-        self.d_a, self.d_b = d_a, d_b
-        split, bridges = [], []
-        for coeff, factors in S.terms:
-            if (
-                len(factors) == 1
-                and factors[0].dim == total
-                and d_a == d_b
-                and hasattr(factors[0], "bridge_cond")
-            ):
-                bridges.append((coeff, factors[0]))
-                continue
-            left, right, cum = [], [], 1
-            for f in factors:
-                (left if cum < d_a else right).append(f)
-                cum *= f.dim
-                if len(right) == 0 and cum > d_a:
-                    raise DimensionError(
-                        "a term factor straddles the see-saw bipartition"
-                    )
-            split.append((coeff, left, right))
-        # fill the stacks row by row so no second copy of the halves is held
-        self._coeffs = np.array([coeff for coeff, _, _ in split], dtype=np.float64)
-        self._left = np.empty((len(split), d_a * d_a), dtype=np.complex128)
-        self._right = np.empty((len(split), d_b * d_b), dtype=np.complex128)
-        for k, (_, left, right) in enumerate(split):
-            self._left[k] = _hermitian_rows(_chain_dense(left, d_a))
-            self._right[k] = _hermitian_rows(_chain_dense(right, d_b))
-        self._bridges = tuple(bridges)
+    def __init__(self, X, dims=None):
+        if isinstance(X, HermitianOperator):
+            stacks = _dense_split(X, dims)
+        elif isinstance(X, StructuredOperator):
+            stacks = _structured_split(X, dims)
+        else:
+            raise TypeError(f"unsupported operand type {type(X).__name__}")
+        self.d_a, self.d_b, self._coeffs, self._left, self._right, self._bridges = stacks
 
     def cond_a(self, u):
         return self._conditioned(u, self._left, self._right, self.d_b)
@@ -215,11 +161,17 @@ class _StructuredKernel:
         return M
 
 
-def _hermitian_rows(block):
-    return ((block + block.conj().T) / 2.0).reshape(-1)
+def _hermitian_basis(d):
+    """Orthonormal Hermitian basis of the d x d matrices, shape (d*d, d, d):
+    E_aa, then (E_ac + E_ca)/sqrt2 and i(E_ac - E_ca)/sqrt2 for a < c."""
+    E = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)  # E[a*d + c] = E_ac
+    a, c = np.triu_indices(d, 1)
+    up, low, s = E[a * d + c], E[c * d + a], math.sqrt(0.5)
+    return np.concatenate([E[:: d + 1], s * (up + low), 1j * s * (up - low)])
 
 
-def _chain_dense(factors, expected_dim):
+def _hermitian_row(factors, expected_dim):
+    """Kronecker product of a half's factors, Hermitized and flattened."""
     out = np.array([[1.0 + 0j]])
     for f in factors:
         out = np.kron(out, np.eye(f.dim) if isinstance(f, IdentityFactor) else f.dense())
@@ -227,17 +179,79 @@ def _chain_dense(factors, expected_dim):
         raise DimensionError(
             f"half factors multiply to {out.shape[0]}, expected {expected_dim}"
         )
-    return out
+    return ((out + out.conj().T) / 2.0).reshape(-1)
 
 
-def _make_kernel(X, dims=None):
-    if isinstance(X, HermitianOperator):
-        if dims is not None:
-            X = X.with_dims(dims)
-        return _DenseKernel(X)
-    if isinstance(X, StructuredOperator):
-        return _StructuredKernel(X, dims)
-    raise TypeError(f"unsupported operand type {type(X).__name__}")
+def _dense_split(X, dims):
+    """Hermitian operator-Schmidt split X = sum_k G_k (x) tr_A[(G_k (x) I) X],
+    mirrored when B is smaller: {G_k} is the Hermitian basis of the
+    smaller factor, so the stacks hold at most twice X's entries.  The
+    contracted halves are Hermitian up to rounding, unseen by ``zheevr``."""
+    if dims is not None:
+        X = X.with_dims(dims)
+    if len(X.dims) != 2:
+        raise DimensionError(
+            f"see-saw needs a bipartite operator, got dims {X.dims}; "
+            "regroup with with_dims first"
+        )
+    d_a, d_b = X.dims
+    tens = X.entries.reshape(d_a, d_b, d_a, d_b)
+    if d_a <= d_b:
+        left = _hermitian_basis(d_a)
+        right = np.einsum("kca,abcd->kbd", left, tens, order="C")
+    else:
+        right = _hermitian_basis(d_b)
+        left = np.einsum("kdb,abcd->kac", right, tens, order="C")
+    r = left.shape[0]
+    return d_a, d_b, np.ones(r), left.reshape(r, -1), right.reshape(r, -1), ()
+
+
+def _structured_split(S, dims):
+    """Stacks of a structured operator.  Every term's factor list must hit
+    the bipartition boundary, except a whole-space factor that supplies
+    ``bridge_cond`` on a balanced bipartition (a bridge term)."""
+    total = S.total_dim
+    if dims is None:
+        root = math.isqrt(total)
+        if root * root != total:
+            raise DimensionError(
+                "cannot infer a bipartition; pass dims=(d_left, d_right)"
+            )
+        dims = (root, root)
+    d_a, d_b = dims
+    if d_a * d_b != total:
+        raise DimensionError(f"bipartition {dims} does not tile {total}")
+    if max(d_a, d_b) > DENSE_SIDE_CAP:
+        raise DimensionError(
+            f"see-saw halves {dims} exceed dense cap {DENSE_SIDE_CAP}"
+        )
+    split, bridges = [], []
+    for coeff, factors in S.terms:
+        if (
+            len(factors) == 1
+            and factors[0].dim == total
+            and d_a == d_b
+            and hasattr(factors[0], "bridge_cond")
+        ):
+            bridges.append((coeff, factors[0]))
+            continue
+        left, right, cum = [], [], 1
+        for f in factors:
+            (left if cum < d_a else right).append(f)
+            cum *= f.dim
+            if len(right) == 0 and cum > d_a:
+                raise DimensionError(
+                    "a term factor straddles the see-saw bipartition"
+                )
+        split.append((coeff, left, right))
+    # fill the stacks row by row so no second copy of the halves is held
+    coeffs = np.array([coeff for coeff, _, _ in split], dtype=np.float64)
+    left = np.empty((len(split), d_a * d_a), dtype=np.complex128)
+    right = np.empty((len(split), d_b * d_b), dtype=np.complex128)
+    for k, (_, lf, rf) in enumerate(split):
+        left[k] = _hermitian_row(lf, d_a)
+        right[k] = _hermitian_row(rf, d_b)
+    return d_a, d_b, coeffs, left, right, tuple(bridges)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +329,7 @@ def _seesaw_restart(kernel, cfg, index):
 
 
 def _seesaw_all(X, cfg, dims=None):
-    kernel = _make_kernel(X, dims)
+    kernel = _SplitKernel(X, dims)
     return [_seesaw_restart(kernel, cfg, k) for k in range(cfg.restarts)]
 
 

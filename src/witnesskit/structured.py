@@ -45,7 +45,6 @@ __all__ = [
     "SwapFactor",
     "SwapKronFactor",
     "build_structural",
-    "structured_matvec",
 ]
 
 
@@ -337,11 +336,6 @@ def _apply_term(factors, x, total):
             y = block.reshape(d, pre, post).transpose(1, 0, 2).reshape(total)
         pre *= d
     return y
-
-
-def structured_matvec(S, x):
-    """Functional alias for ``S.matvec(x)``."""
-    return S.matvec(x)
 
 
 def build_structural(kind, d):

@@ -57,6 +57,20 @@ def test_classify_non_witness_exit_ten(tmp_path, capsys):
     assert report["results"]["is_witness"] is False
 
 
+def test_classify_unconverged_search_is_indeterminate(tmp_path, capsys, monkeypatch):
+    # one sweep cannot meet the convergence tolerance from a random start;
+    # the see-saw value stays an upper bound on the floor 0, so the
+    # verdict (and its exit code) is still "witness"
+    monkeypatch.setattr(
+        cli, "_config", lambda args: cli.OptimizerConfig(restarts=4, max_sweeps=1)
+    )
+    code, report = _run(capsys, ["classify", _sigma1_witness_path(tmp_path)])
+    assert report["results"]["minprod_converged"] is False
+    assert report["results"]["is_witness"] is True
+    assert report["status"] == "indeterminate"
+    assert code == cli.EXIT_OK
+
+
 def test_classify_missing_file_exit_one(tmp_path, capsys):
     code, report = _run(capsys, ["classify", str(tmp_path / "absent.json")])
     assert code == cli.EXIT_ERROR

@@ -24,7 +24,7 @@ from witnesskit.operators import (
 from witnesskit.optimize import (
     OptimizerConfig,
     _ground_pair,
-    _StructuredKernel,
+    _SplitKernel,
     attempt_decomposition,
     collect_zero_products,
     decomposition_search,
@@ -152,15 +152,29 @@ def test_ground_pair_degenerate_ground_space():
 def test_structured_conditioned_matrices_match_dense():
     # the lifted Bell witness mixes split terms with whole-space bridge terms
     S = lift_witness(bell_state_witness()).operator
-    kernel = _StructuredKernel(S)
+    kernel = _SplitKernel(S)
     assert kernel._coeffs.size and kernel._bridges
-    dense = HermitianOperator((16, 16), S.to_dense())
+    cases = [(kernel, HermitianOperator((16, 16), S.to_dense()))]
+    # dense operators enter through the Hermitian-basis split of the
+    # smaller factor, so (3, 2) exercises the mirrored contraction
+    for k, dims in enumerate([(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]):
+        X = random_hermitian(rng_for(53, k), dims)
+        cases.append((_SplitKernel(X), X))
     rng = rng_for(52)
-    for _ in range(3):
-        w = random_unit_vector(rng, 16)
-        for side, got in (("A", kernel.cond_a(w)), ("B", kernel.cond_b(w))):
-            ref = conditioned_matrix(dense, side, w)
-            assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+    for kernel, dense in cases:
+        d_a, d_b = dense.dims
+        for _ in range(3):
+            u = random_unit_vector(rng, d_a)
+            v = random_unit_vector(rng, d_b)
+            for side, w, got in (("A", u, kernel.cond_a(u)), ("B", v, kernel.cond_b(v))):
+                ref = conditioned_matrix(dense, side, w)
+                assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+def test_seesaw_rejects_non_bipartite_dense():
+    X = random_hermitian(rng_for(54), (2, 2, 2))
+    with pytest.raises(DimensionError, match="needs a bipartite operator"):
+        min_product_expectation(X, CFG)
 
 
 def test_structured_kernel_rejects_straddling_terms():

@@ -17,7 +17,6 @@ from witnesskit.structured import (
     SwapFactor,
     SwapKronFactor,
     build_structural,
-    structured_matvec,
 )
 
 
@@ -141,7 +140,6 @@ def test_structured_operator_matvec_matches_dense_small():
         assert S.expectation(x) == pytest.approx(
             float(np.vdot(x, dense @ x).real), abs=1e-12
         )
-    np.testing.assert_array_equal(structured_matvec(S, np.eye(18)[0]), S.matvec(np.eye(18)[0]))
 
 
 def test_structured_operator_matvec_matches_dense_at_cap():
