@@ -34,7 +34,6 @@ from .optimize import (
     OptimizerConfig,
     PPTSearchResult,
     PPTViolation,
-    attempt_decomposition,
     collect_zero_products,
     decomposition_search,
     find_ppt_violation,

@@ -19,6 +19,7 @@ from the WF_SEED environment variable; --seed overrides it.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -34,7 +35,12 @@ from .lift import (
     state_expectation_components,
     symmetric_expectation_gap,
 )
-from .operators import DENSE_SIDE_CAP, load_operator, operator_to_json
+from .operators import (
+    DENSE_SIDE_CAP,
+    HermitianOperator,
+    load_operator,
+    operator_to_json,
+)
 from .optimize import (
     OptimizerConfig,
     decomposition_search,
@@ -228,47 +234,6 @@ def cmd_lift(args):
     return EXIT_OK
 
 
-def _family_builders():
-    """name -> (callable returning {label: operator}, parameter defaults)."""
-
-    def single(fn):
-        return lambda **kw: {"operator": fn(**kw)}
-
-    def wxyz(x, y, z):
-        res = families.w_xyz(x, y, z)
-        return {"operator": res.operator, "condition_met": res.condition_met}
-
-    def qutrit():
-        ex = families.qutrit_pair_example()
-        return {
-            name: getattr(ex, name) for name in ("W", "W1", "W2", "P", "Q", "R1", "R2")
-        }
-
-    return {
-        "sigma1": (single(families.sigma1), {}),
-        "sigma2": (single(families.sigma2), {}),
-        "choi-sigma": (single(families.choi_sigma), {}),
-        "bell-witness": (single(families.bell_state_witness), {}),
-        "pt-bell-2x3": (single(families.pt_bell_witness_2x3), {}),
-        "werner": (single(families.werner_state), {"p": 0.5}),
-        "isotropic-sigma": (
-            single(families.isotropic_sigma),
-            {"q": -0.25, "primed": 0.0},
-        ),
-        "isotropic-witness": (
-            single(families.isotropic_witness),
-            {"q": -0.25, "primed": 0.0},
-        ),
-        "wxyz": (wxyz, {"x": 1.0, "y": 1.0, "z": 0.0}),
-        "two-block": (single(families.two_block_witness), {"a": 1.0, "b": 1.0}),
-        "two-block-optimal": (
-            single(families.two_block_witness_optimal),
-            {"a": 1.0},
-        ),
-        "qutrit-pair": (qutrit, {}),
-    }
-
-
 def _parse_params(pairs, defaults, name):
     params = dict(defaults)
     for item in pairs or ():
@@ -287,17 +252,20 @@ def _parse_params(pairs, defaults, name):
 
 
 def cmd_family(args):
-    builders = _family_builders()
-    if args.name not in builders:
-        raise ValueError(
-            f"unknown family {args.name!r}; available: {', '.join(sorted(builders))}"
-        )
-    build, defaults = builders[args.name]
+    if args.name not in families.FAMILIES:
+        available = ", ".join(sorted(families.FAMILIES))
+        raise ValueError(f"unknown family {args.name!r}; available: {available}")
+    build, defaults = families.FAMILIES[args.name]
     params = _parse_params(args.param, defaults, args.name)
     built = build(**params)
-    results = {}
-    for label, obj in built.items():
-        results[label] = operator_to_json(obj) if hasattr(obj, "entries") else obj
+    if isinstance(built, HermitianOperator):
+        fields = {"operator": built}
+    else:  # a result dataclass: its fields in declaration order
+        fields = {f.name: getattr(built, f.name) for f in dataclasses.fields(built)}
+    results = {
+        label: operator_to_json(obj) if isinstance(obj, HermitianOperator) else obj
+        for label, obj in fields.items()
+    }
     _emit(
         {
             "command": "family",

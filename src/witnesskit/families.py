@@ -31,6 +31,7 @@ from .optimize import (
 )
 
 __all__ = [
+    "FAMILIES",
     "CaseCheck",
     "CaseResult",
     "ReferenceCase",
@@ -293,6 +294,23 @@ def pt_bell_witness_2x3(Q=None):
     ).max() > 1e-12:
         raise ValueError("Q must vanish outside span{|00>,|01>,|10>,|11>}")
     return base + Q
+
+
+# name -> (constructor, parameter defaults) for the CLI ``family`` command
+FAMILIES = {
+    "sigma1": (sigma1, {}),
+    "sigma2": (sigma2, {}),
+    "choi-sigma": (choi_sigma, {}),
+    "bell-witness": (bell_state_witness, {}),
+    "pt-bell-2x3": (pt_bell_witness_2x3, {}),
+    "werner": (werner_state, {"p": 0.5}),
+    "isotropic-sigma": (isotropic_sigma, {"q": -0.25, "primed": 0.0}),
+    "isotropic-witness": (isotropic_witness, {"q": -0.25, "primed": 0.0}),
+    "wxyz": (w_xyz, {"x": 1.0, "y": 1.0, "z": 0.0}),
+    "two-block": (two_block_witness, {"a": 1.0, "b": 1.0}),
+    "two-block-optimal": (two_block_witness_optimal, {"a": 1.0}),
+    "qutrit-pair": (qutrit_pair_example, {}),
+}
 
 
 # ---------------------------------------------------------------------------

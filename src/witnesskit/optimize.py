@@ -20,10 +20,11 @@ LAPACK call, not ``scipy.linalg.eigh``, keeps the per-call overhead
 below ``np.linalg.eigh``'s for the thousands of 2x2 and 3x3 solves of
 small searches.
 
-Also here: an exhaustive grid oracle used to cross-check the see-saw on
-small instances, a projected-gradient search for PPT states with
-negative witness expectation, and an alternating-projection
-decomposition attempt W = P + Q^Gamma.
+Also here: an epsilon-net oracle that cross-checks the see-saw (a net
+over the smaller factor, an exact eigensolve on the other), a
+projected-gradient search for PPT states with negative witness
+expectation, and an alternating-projection decomposition attempt
+W = P + Q^Gamma.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .operators import (
     ProductVector,
 )
 from .sampling import random_density, random_unit_vector, rng_for
-from .structured import IdentityFactor, StructuredOperator
+from .structured import StructuredOperator
 
 __all__ = [
     "DecompositionResult",
@@ -50,7 +51,6 @@ __all__ = [
     "OptimizerConfig",
     "PPTSearchResult",
     "PPTViolation",
-    "attempt_decomposition",
     "collect_zero_products",
     "decomposition_search",
     "find_ppt_violation",
@@ -174,7 +174,7 @@ def _hermitian_row(factors, expected_dim):
     """Kronecker product of a half's factors, Hermitized and flattened."""
     out = np.array([[1.0 + 0j]])
     for f in factors:
-        out = np.kron(out, np.eye(f.dim) if isinstance(f, IdentityFactor) else f.dense())
+        out = np.kron(out, f.dense())
     if out.shape[0] != expected_dim:
         raise DimensionError(
             f"half factors multiply to {out.shape[0]}, expected {expected_dim}"
@@ -401,110 +401,72 @@ def spanning_rank(products, dims):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive grid oracle (test cross-check; O(1/resolution) accuracy)
+# epsilon-net oracle (independent cross-check of the see-saw)
 # ---------------------------------------------------------------------------
 
 
-def _qubit_grid(resolution):
-    theta = np.linspace(0.0, np.pi / 2.0, resolution)
-    phi = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    t, p = np.meshgrid(theta, phi, indexing="ij")
-    v0 = np.cos(t).ravel().astype(np.complex128)
-    v1 = (np.sin(t) * np.exp(1j * p)).ravel()
-    return np.stack([v0, v1], axis=1)
+# largest net the oracle enumerates: (3,3) at resolution 32 still fits,
+# (3,3) at resolution 64 (16.7M points) fails fast instead of running
+# for minutes
+_NET_POINT_CAP = 1 << 20
 
 
-def _qutrit_grid(resolution):
-    theta = np.linspace(0.0, np.pi / 2.0, resolution)
-    phi = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    t1, t2, p1, p2 = np.meshgrid(theta, theta, phi, phi, indexing="ij")
-    v0 = np.cos(t1).ravel().astype(np.complex128)
-    v1 = (np.sin(t1) * np.cos(t2)).ravel() * np.exp(1j * p1.ravel())
-    v2 = (np.sin(t1) * np.sin(t2)).ravel() * np.exp(1j * p2.ravel())
-    return np.stack([v0, v1, v2], axis=1)
+def _sphere_net(d, resolution):
+    """Unit vectors of C^d up to global phase, shape (resolution**(2d-2), d).
 
-
-def _pair_features(V):
-    """Real features [ |v_k|^2 ..., Re/Im(conj(v_k) v_l) for k<l ]."""
-    d = V.shape[1]
-    cols = [np.abs(V[:, k]) ** 2 for k in range(d)]
-    for k in range(d):
-        for l in range(k + 1, d):
-            t = V[:, k].conj() * V[:, l]
-            cols.append(t.real)
-            cols.append(t.imag)
-    return np.stack(cols, axis=1)
-
-
-def _matrix_features(M_all):
-    """Row features matching _pair_features so that E = fM . fV."""
-    d = M_all.shape[1]
-    cols = [M_all[:, k, k].real for k in range(d)]
-    for k in range(d):
-        for l in range(k + 1, d):
-            cols.append(2.0 * M_all[:, k, l].real)
-            cols.append(-2.0 * M_all[:, k, l].imag)
-    return np.stack(cols, axis=1)
-
-
-def _qubit_v_scan(fU, resolution):
-    """Grid minimum over the qubit v grid with the phase reduced exactly.
-
-    At fixed u and v angle t, the expectation is A cos^2 t + B sin^2 t
-    + 2 cos t sin t Re(M01 e^{i phi}); over the uniform phase grid the
-    last factor reaches min_k cos(phi_k + delta) = -cos(e), with e the
-    distance from pi - delta to the nearest grid point, so the phase
-    axis never needs enumerating.
+    d-1 polar angles on [0, pi/2] give the nested amplitudes
+    cos t1, sin t1 cos t2, ..., sin t1 ... sin t_{d-1}; every amplitude
+    but the first carries a phase from resolution points on [0, 2 pi).
     """
-    A, B = fU[:, 0], fU[:, 1]
-    m_re, m_im = 0.5 * fU[:, 2], -0.5 * fU[:, 3]
-    R = np.hypot(m_re, m_im)
-    delta = np.arctan2(m_im, m_re)
-    h = 2.0 * np.pi / resolution
-    d = np.mod(np.pi - delta, h)
-    off = 2.0 * R * (-np.cos(np.minimum(d, h - d)))
     theta = np.linspace(0.0, np.pi / 2.0, resolution)
-    c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
-    cs = np.cos(theta) * np.sin(theta)
-    best = np.inf
-    chunk = max(1, 2**22 // resolution)
-    for lo in range(0, fU.shape[0], chunk):
-        block = (
-            np.outer(A[lo : lo + chunk], c2)
-            + np.outer(B[lo : lo + chunk], s2)
-            + np.outer(off[lo : lo + chunk], cs)
-        )
-        best = min(best, float(block.min()))
-    return best
+    phi = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+    axes = [theta] * (d - 1) + [phi] * (d - 1)
+    grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    amps, s = [], np.ones(resolution ** (2 * (d - 1)))
+    for t in grid[: d - 1]:
+        amps.append(s * np.cos(t))
+        s = s * np.sin(t)
+    amps.append(s)
+    phased = [a * np.exp(1j * p) for a, p in zip(amps[1:], grid[d - 1 :])]
+    return np.stack([amps[0].astype(np.complex128), *phased], axis=1)
 
 
 def grid_oracle_minprod(X, resolution=64):
-    """Brute-force grid minimum of the product expectation.
+    """Product-expectation minimum over an epsilon-net of the smaller factor.
 
-    Supports d_A = 2 with d_B in {2, 3}.  The u grid is
-    (cos t, e^{i p} sin t); the v grid adds a second angle/phase pair
-    for d_B = 3 (resolution^4 points -- large resolutions get slow
-    there).  Accuracy is O(1/resolution); resolutions of 64 and up make
-    the oracle trustworthy as an independent cross-check.
+    Works for any bipartite dims.  The net (``_sphere_net``) covers the
+    smaller factor with resolution**(2(d-1)) points; at each point u the
+    other side is solved exactly as the lowest eigenvalue of the
+    conditioned matrix <u|X|u>.  Every value is attained at a feasible
+    product vector, so the result is an upper bound on the product
+    infimum whose excess shrinks as O(1/resolution); resolutions of 64
+    and up make it a trustworthy cross-check.  It shares no code with
+    the see-saw (dense einsum and numpy's ``eigvalsh`` against split
+    GEMVs and ``zheevr``).  A net above ``_NET_POINT_CAP`` points, such
+    as (3,3) at resolution 64, raises ``DimensionError``.
     """
-    if len(X.dims) != 2 or X.dims[0] != 2 or X.dims[1] not in (2, 3):
-        raise DimensionError(f"grid oracle supports dims (2,2) or (2,3), got {X.dims}")
+    if len(X.dims) != 2:
+        raise DimensionError(f"grid oracle needs a bipartite operator, got dims {X.dims}")
     resolution = int(resolution)
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    d_b = X.dims[1]
-    U = _qubit_grid(resolution)
-    tens = X.entries.reshape(2, d_b, 2, d_b)
-    M_all = np.einsum("ai,ijkl,ak->ajl", U.conj(), tens, U, optimize=True)
-    fU = _matrix_features(M_all)
-    if d_b == 2:
-        return _qubit_v_scan(fU, resolution)
-    fV = _pair_features(_qutrit_grid(resolution)).T  # (nf, nV)
+    d_a, d_b = X.dims
+    tens = X.entries.reshape(d_a, d_b, d_a, d_b)
+    if d_a > d_b:
+        d_a, d_b, tens = d_b, d_a, tens.transpose(1, 0, 3, 2)
+    points = resolution ** (2 * (d_a - 1))
+    if points > _NET_POINT_CAP:
+        raise DimensionError(
+            f"a resolution-{resolution} net on C^{d_a} has {points} points, "
+            f"above the cap of {_NET_POINT_CAP}; lower the resolution"
+        )
+    U = _sphere_net(d_a, resolution)
     best = np.inf
-    chunk = max(1, 2**22 // fV.shape[1])  # keep E blocks ~32 MB
-    for lo in range(0, fU.shape[0], chunk):
-        E = fU[lo : lo + chunk] @ fV
-        best = min(best, float(E.min()))
+    chunk = max(1, 2**20 // (d_b * d_b))  # keep conditioned blocks ~16 MB
+    for lo in range(0, points, chunk):
+        u = U[lo : lo + chunk]
+        M = np.einsum("ai,ijkl,ak->ajl", u.conj(), tens, u, optimize=True)
+        best = min(best, float(np.linalg.eigvalsh(M)[:, 0].min()))
     return best
 
 
@@ -690,9 +652,3 @@ def decomposition_search(W, residual_tol=1e-7, max_iters=5000):
     return DecompositionResult(
         HermitianOperator(dims, P), HermitianOperator(dims, Q), residual, success
     )
-
-
-def attempt_decomposition(W, residual_tol=1e-7, max_iters=5000):
-    """(P, Q) with W = P + Q^Gamma, or None if the search fails."""
-    res = decomposition_search(W, residual_tol, max_iters)
-    return (res.P, res.Q) if res.success else None
