@@ -12,7 +12,7 @@ and never fail a run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -268,6 +268,13 @@ def bell_state_witness():
     )
 
 
+def _embedded_bell_2x3():
+    """Projector onto (|00> + |11>)/sqrt2 on C^2 (x) C^3."""
+    psi = np.zeros(6, dtype=np.complex128)
+    psi[0] = psi[4] = 1.0 / math.sqrt(2.0)
+    return HermitianOperator((2, 3), np.outer(psi, psi.conj()))
+
+
 def pt_bell_witness_2x3(Q=None):
     """Partially transposed embedded Bell projector plus a block operator
     on C^2 (x) C^3.
@@ -277,13 +284,10 @@ def pt_bell_witness_2x3(Q=None):
     weakly optimal whenever it keeps a negative eigenvalue.  Default
     Q is the embedded Bell projector itself.
     """
-    psi = np.zeros(6, dtype=np.complex128)
-    psi[0] = psi[4] = 1.0 / math.sqrt(2.0)
-    base = partial_transpose(
-        HermitianOperator((2, 3), np.outer(psi, psi.conj())), factor_index=0
-    )
+    bell = _embedded_bell_2x3()
+    base = partial_transpose(bell, factor_index=0)
     if Q is None:
-        Q = HermitianOperator((2, 3), np.outer(psi, psi.conj()))
+        Q = bell
     if Q.dims != (2, 3):
         raise ValueError(f"Q must live on dims (2, 3), got {Q.dims}")
     if float(np.linalg.eigvalsh(Q.entries)[0]) < -1e-10:
@@ -540,17 +544,7 @@ def _build_pt_bell_2x3(cfg):
     w = pt_bell_witness_2x3()
     e02 = float(w.entries[2, 2].real)
     rep = classify(w, cfg)
-    spec = eig_hermitian(
-        partial_transpose(
-            HermitianOperator(
-                (2, 3),
-                np.outer(
-                    _embedded_bell_2x3(), _embedded_bell_2x3().conj()
-                ),
-            ),
-            factor_index=0,
-        )
-    )
+    spec = eig_hermitian(partial_transpose(_embedded_bell_2x3(), factor_index=0))
     neg = spec.vector(0)
     p = HermitianOperator((2, 3), np.outer(neg, neg.conj()))
     after = classify(w + p, cfg)
@@ -561,12 +555,6 @@ def _build_pt_bell_2x3(cfg):
         "plus_p_is_psd": float(after.is_psd),
         "plus_p_is_witness": float(after.is_witness),
     }
-
-
-def _embedded_bell_2x3():
-    psi = np.zeros(6, dtype=np.complex128)
-    psi[0] = psi[4] = 1.0 / math.sqrt(2.0)
-    return psi
 
 
 def _build_lift_constant(cfg):
@@ -633,11 +621,7 @@ def _build_isotropic_primed(cfg):
 
 
 def _build_choi_ppt_violation(cfg):
-    w = w_xyz(1.0, 1.0, 0.0).operator
-    probe_cfg = OptimizerConfig(
-        restarts=min(cfg.restarts, 8), seed=cfg.seed, max_sweeps=cfg.max_sweeps
-    )
-    hit = find_ppt_violation(w, probe_cfg)
+    hit = find_ppt_violation(w_xyz(1.0, 1.0, 0.0).operator, cfg)
     return {"violation_value": hit.value if hit is not None else 0.0}
 
 

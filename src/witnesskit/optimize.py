@@ -21,17 +21,18 @@ below ``np.linalg.eigh``'s for the thousands of 2x2 and 3x3 solves of
 small searches.
 
 Also here: an epsilon-net oracle that cross-checks the see-saw (a net
-over the smaller factor, an exact eigensolve on the other), a
-projected-gradient search for PPT states with negative witness
-expectation, and an alternating-projection decomposition attempt
-W = P + Q^Gamma.
+over the smaller factor, an exact eigensolve on the other), and one
+Moreau split of a witness over the PPT cone, W = Z + P + Q^Gamma with
+P, Q PSD and Z in the negated PPT cone, computed by a single Dykstra
+loop.  Z = 0 is a decomposition W = P + Q^Gamma; a nonzero Z yields
+the PPT state -Z / tr(-Z) with negative witness expectation.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
@@ -42,7 +43,7 @@ from .operators import (
     HermitianOperator,
     ProductVector,
 )
-from .sampling import random_density, random_unit_vector, rng_for
+from .sampling import random_unit_vector, rng_for
 from .structured import StructuredOperator
 
 __all__ = [
@@ -76,7 +77,6 @@ class OptimizerConfig:
     tol_converge: float = 1e-12
     tol_zero: float = 1e-7
     max_sweeps: int = 1000
-    track_history: bool = False
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -102,7 +102,6 @@ class MinProdResult:
     argmin: ProductVector
     converged: bool
     restarts_used: int
-    history: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +265,6 @@ class _Restart:
     v: np.ndarray
     converged: bool
     index: int
-    history: tuple = ()
 
 
 _HEEVR, _HEEVR_LWORK = get_lapack_funcs(("heevr", "heevr_lwork"), dtype=np.complex128)
@@ -305,7 +303,6 @@ def _seesaw_restart(kernel, cfg, index):
     u = random_unit_vector(rng, kernel.d_a)
     v = random_unit_vector(rng, kernel.d_b)
     value = _expect(kernel, u, v)
-    history = [value]
     converged = False
     prev_sweep = value
     for _ in range(cfg.max_sweeps):
@@ -320,12 +317,11 @@ def _seesaw_restart(kernel, cfg, index):
             else:
                 u = vec
             value = lam
-            history.append(value)
         if abs(prev_sweep - value) <= cfg.tol_converge * (1.0 + abs(value)):
             converged = True
             break
         prev_sweep = value
-    return _Restart(value, u, v, converged, index, tuple(history))
+    return _Restart(value, u, v, converged, index)
 
 
 def _seesaw_all(X, cfg, dims=None):
@@ -350,7 +346,6 @@ def min_product_expectation(X, cfg=None, dims=None):
         argmin=ProductVector(best.u, best.v),
         converged=best.converged,
         restarts_used=cfg.restarts,
-        history=best.history if cfg.track_history else (),
     )
 
 
@@ -369,7 +364,6 @@ def max_product_expectation(X, cfg=None, dims=None):
         argmin=res.argmin,
         converged=res.converged,
         restarts_used=res.restarts_used,
-        history=tuple(-h for h in res.history),
     )
 
 
@@ -471,8 +465,19 @@ def grid_oracle_minprod(X, resolution=64):
 
 
 # ---------------------------------------------------------------------------
-# PPT-body search: projected gradient with Dykstra projections
+# the PPT cone: one Moreau split answers both W = P + Q^Gamma and the
+# PPT-violation search
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DecompositionResult:
+    """P, Q PSD with W = Z + P + Q^Gamma; ``residual`` is ||Z||_F."""
+
+    P: object
+    Q: object
+    residual: float
+    success: bool
 
 
 @dataclass(frozen=True)
@@ -489,6 +494,11 @@ class PPTViolation:
 
 @dataclass(frozen=True)
 class PPTSearchResult:
+    """``best_value`` is tr(W rho) at the state the split ends on (0.0
+    when -Z has no positive trace, lambda_min(W) when W is PSD);
+    ``converged`` means a verdict was reached, a decomposition or a
+    certified violation; ``starts_used`` is 1, or 0 on PSD input."""
+
     violation: object  # PPTViolation | None
     best_value: float
     converged: bool
@@ -510,7 +520,7 @@ def _psd_clip(arr):
     return (vecs * vals) @ vecs.conj().T
 
 
-def _project_ppt_body(arr, dims, max_cycles=100, tol=1e-12):
+def _project_ppt_body(arr, dims, max_cycles, tol):
     """Dykstra projection onto {rho >= 0} n {rho^Gamma >= 0} n {tr = 1}."""
     d = arr.shape[0]
     projections = (
@@ -532,57 +542,78 @@ def _project_ppt_body(arr, dims, max_cycles=100, tol=1e-12):
     return x
 
 
-def ppt_violation_search(W, cfg=None, seeds=()):
-    """Minimize tr(W rho) over PPT states by projected gradient.
+def decomposition_search(W, residual_tol=1e-7, max_iters=20000):
+    """Moreau split W = Z + P + Q^Gamma over the PPT cone.
 
-    The objective is linear and the feasible body convex, so a fixed
-    step 1/(2 ||W||_inf) with Dykstra projections converges to the
-    global minimum; multiple starts (maximally mixed, caller seeds,
-    then random densities up to cfg.restarts) guard against projection
-    stalls.  Stops early once a converged start certifies a violation.
+    Dykstra's algorithm projects W onto the negated PPT cone
+    {Z : Z <= 0, Z^Gamma <= 0}.  Its two correction terms are, at every
+    iterate, the PSD clip P of the first constraint and Q^Gamma with Q
+    PSD for the second, and W = Z + P + Q^Gamma throughout.  At the
+    limit Z is the projection, so Z = 0 exactly when W is decomposable
+    (Moreau, C. R. Acad. Sci. Paris 255, 1962), and a nonzero Z gives
+    the PPT violation read off by ``ppt_violation_search``.  Success is
+    ||Z||_F <= residual_tol with both blocks PSD; stopping on a stalled
+    Z or at max_iters is inconclusive, not a proof of
+    non-decomposability.
+    """
+    if len(W.dims) != 2:
+        raise DimensionError(f"decomposition needs a bipartite operator, got {W.dims}")
+    dims = W.dims
+    x = np.array(W.entries)
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    residual = float(np.linalg.norm(x))
+    for _ in range(max_iters):
+        if residual <= residual_tol:
+            break
+        y = x + p
+        p = _psd_clip(y)
+        z = y - p + q
+        q = _pt2(_psd_clip(_pt2(z, dims)), dims)
+        x, prev = z - q, x
+        residual = float(np.linalg.norm(x))
+        if np.linalg.norm(x - prev) <= 1e-12 * (1.0 + residual):
+            break
+    return DecompositionResult(
+        HermitianOperator(dims, p),
+        HermitianOperator(dims, _pt2(q, dims)),
+        residual,
+        residual <= residual_tol,
+    )
+
+
+def ppt_violation_search(W, cfg=None):
+    """Minimize tr(W rho) over PPT states by reading the Moreau split.
+
+    With Z = W - P - Q^Gamma from ``decomposition_search`` at
+    residual_tol = cfg.tol_zero, -Z lies in the PPT cone and
+    <W, Z> = ||Z||^2 at the limit, so rho = -Z / tr(-Z) is a PPT state
+    with tr(W rho) = -||Z||^2 / tr(-Z) < 0.  The state is cleaned by a
+    Dykstra projection onto the PPT body and certified only if it is
+    PPT to 1e-8 with unit trace and tr(W rho) < -tol_zero.  A
+    successful decomposition proves that no violation exists; PSD W is
+    answered by its lowest eigenvalue without a split.
     """
     cfg = cfg or OptimizerConfig()
     if len(W.dims) != 2:
         raise DimensionError(f"PPT search needs a bipartite operator, got {W.dims}")
     dims = W.dims
-    d = W.side
     w = W.entries
-    evals = np.linalg.eigvalsh(w)
-    if evals[0] >= -cfg.tol_zero:
+    lam = float(np.linalg.eigvalsh(w)[0])
+    if lam >= -cfg.tol_zero:
         # tr(W rho) >= lambda_min >= -tol_zero for every state: no violation
-        return PPTSearchResult(None, float(evals[0]), True, 0)
-    step = 1.0 / (2.0 * float(np.abs(evals).max()))
-    starts = [np.eye(d) / d]
-    starts += [np.array(s.entries) for s in seeds]
-    rng = rng_for(cfg.seed, 961)
-    while len(starts) < cfg.restarts:
-        starts.append(np.array(random_density(rng, dims).entries))
-    best_value, best_state, any_converged = np.inf, None, False
-    used = 0
-    for start in starts:
-        used += 1
-        rho = _project_ppt_body(start, dims)
-        obj = float((w @ rho).trace().real)
-        converged = False
-        recent = [obj]
-        for _ in range(5000):
-            rho = _project_ppt_body(rho - step * w, dims)
-            obj = float((w @ rho).trace().real)
-            recent.append(obj)
-            if len(recent) > 10:
-                recent.pop(0)
-                if abs(recent[0] - recent[-1]) <= 1e-11 * (1.0 + abs(obj)):
-                    converged = True
-                    break
-        if obj < best_value:
-            best_value, best_state = obj, rho
-        any_converged = any_converged or converged
-        if converged and obj < -cfg.tol_zero:
-            break
+        return PPTSearchResult(None, lam, True, 0)
+    dec = decomposition_search(W, residual_tol=cfg.tol_zero)
+    neg_z = dec.P.entries + _pt2(dec.Q.entries, dims) - w
+    # every iterate has Z^Gamma <= 0, so tr(-Z) >= ||Z||_F: the trace
+    # vanishes only on a split that ends exactly at Z = 0
+    mass = float(neg_z.trace().real)
+    if mass <= 0.0:
+        return PPTSearchResult(None, 0.0, dec.success, 1)
+    final = _project_ppt_body(neg_z / mass, dims, max_cycles=300, tol=1e-13)
+    value = float((w @ final).trace().real)
     violation = None
-    if best_state is not None and best_value < -cfg.tol_zero:
-        final = _project_ppt_body(best_state, dims, max_cycles=300, tol=1e-13)
-        value = float((w @ final).trace().real)
+    if not dec.success:
         lam_rho = float(np.linalg.eigvalsh(final)[0])
         lam_pt = float(np.linalg.eigvalsh(_pt2(final, dims))[0])
         tr_gap = abs(final.trace().real - 1.0)
@@ -593,62 +624,9 @@ def ppt_violation_search(W, cfg=None, seeds=()):
             and tr_gap <= 1e-10
         ):
             violation = PPTViolation(HermitianOperator(dims, final), value)
-            best_value = value
-    return PPTSearchResult(violation, best_value, any_converged, used)
+    return PPTSearchResult(violation, value, dec.success or violation is not None, 1)
 
 
-def find_ppt_violation(W, cfg=None, seeds=()):
+def find_ppt_violation(W, cfg=None):
     """PPTViolation if the search certifies one, else None (inconclusive)."""
-    return ppt_violation_search(W, cfg, seeds).violation
-
-
-# ---------------------------------------------------------------------------
-# decomposition attempt: alternating projections on W = P + Q^Gamma
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecompositionResult:
-    P: object
-    Q: object
-    residual: float
-    success: bool
-
-
-def decomposition_search(W, residual_tol=1e-7, max_iters=5000):
-    """Look for PSD P, Q with P + Q^Gamma = W.
-
-    Alternates the exact projection onto the affine set
-    {(P, Q): P + Q^Gamma = W} with eigenvalue clipping onto the PSD
-    cones.  Success requires the affine residual ||P + Q^Gamma - W||_F
-    <= residual_tol with both blocks PSD; hitting the iteration cap
-    with a larger residual is inconclusive, not a proof of
-    non-decomposability.
-    """
-    if len(W.dims) != 2:
-        raise DimensionError(f"decomposition needs a bipartite operator, got {W.dims}")
-    dims = W.dims
-    w = W.entries
-    P = _psd_clip(w)
-    Q = np.zeros_like(w)
-    residual = np.inf
-    stall = 0
-    for _ in range(max_iters):
-        # exact projection onto the affine constraint
-        R = (w - P - _pt2(Q, dims)) / 2.0
-        P = P + R
-        Q = Q + _pt2(R, dims)
-        P = _psd_clip(P)
-        Q = _psd_clip(Q)
-        new_residual = float(np.linalg.norm(P + _pt2(Q, dims) - w))
-        if new_residual <= residual_tol:
-            residual = new_residual
-            break
-        stall = stall + 1 if abs(residual - new_residual) <= 1e-13 else 0
-        residual = new_residual
-        if stall >= 50:
-            break
-    success = residual <= residual_tol
-    return DecompositionResult(
-        HermitianOperator(dims, P), HermitianOperator(dims, Q), residual, success
-    )
+    return ppt_violation_search(W, cfg).violation

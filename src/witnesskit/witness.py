@@ -23,7 +23,6 @@ import numpy as np
 from .operators import (
     DimensionError,
     HermitianOperator,
-    ProductVector,
     eig_hermitian,
     partial_transpose,
     product_expectation,

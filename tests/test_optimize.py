@@ -41,7 +41,6 @@ from witnesskit.structured import (
     DenseFactor,
     IdentityFactor,
     StructuredOperator,
-    SwapFactor,
     build_structural,
 )
 
@@ -92,15 +91,6 @@ def test_minprod_bounded_by_eigenvalues():
         vals = np.linalg.eigvalsh(X.entries)
         res = min_product_expectation(X, CFG)
         assert vals[0] - 1e-9 <= res.value <= vals[-1] + 1e-9
-
-
-def test_history_tracking():
-    cfg = OptimizerConfig(restarts=2, seed=0, track_history=True)
-    res = min_product_expectation(sigma1(), cfg)
-    assert len(res.history) >= 1
-    assert res.history[-1] == pytest.approx(res.value, abs=1e-12)
-    no_hist = min_product_expectation(sigma1(), CFG)
-    assert no_hist.history == ()
 
 
 def test_structured_kernel_matches_dense_kernel():
@@ -300,3 +290,47 @@ def test_decomposition_trivial_on_psd_input():
     res = decomposition_search(two_block_witness_optimal(1.0))
     # PT of a PSD corner block: P = 0, Q = corner works
     assert res.success
+
+
+@pytest.mark.parametrize(
+    "xyz, decomposes",
+    [
+        ((0.5, 1.0, 0.5), False),
+        ((1.0, 1.2, 0.1), False),
+        ((0.8, 0.6, 0.9), True),
+        ((0.3, 1.5, 0.6), True),
+    ],
+)
+def test_split_verdicts_on_wxyz(xyz, decomposes):
+    W = w_xyz(*xyz).operator
+    assert decomposition_search(W).success is decomposes
+    assert (find_ppt_violation(W) is None) is decomposes
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+    depth=st.floats(0.01, 1.0),
+)
+def test_split_outcomes_are_certificates(seed, dims, depth):
+    X = random_hermitian(rng_for(seed), dims)
+    # shift so that lambda_min(W) = -depth
+    W = X.shifted(float(np.linalg.eigvalsh(X.entries)[0]) + depth)
+    cfg = OptimizerConfig()
+    dec = decomposition_search(W, residual_tol=cfg.tol_zero)
+    violation = find_ppt_violation(W, cfg)
+    assert not (dec.success and violation is not None)
+    if dec.success:
+        assert np.linalg.eigvalsh(dec.P.entries)[0] >= -1e-9
+        assert np.linalg.eigvalsh(dec.Q.entries)[0] >= -1e-9
+        recon = dec.P + partial_transpose(dec.Q)
+        assert np.linalg.norm(recon.entries - W.entries) <= cfg.tol_zero
+    if violation is not None:
+        rho = violation.state
+        assert abs(rho.trace() - 1.0) <= 1e-8
+        assert np.linalg.eigvalsh(rho.entries)[0] >= -1e-8
+        assert np.linalg.eigvalsh(partial_transpose(rho).entries)[0] >= -1e-8
+        value = float((W.entries @ rho.entries).trace().real)
+        assert value < -cfg.tol_zero
+        assert value == pytest.approx(violation.value, abs=1e-12)

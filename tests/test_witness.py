@@ -10,7 +10,6 @@ from witnesskit.families import (
     maximally_entangled,
     qutrit_pair_example,
     sigma1,
-    sigma2,
     two_block_witness,
     werner_state,
 )
