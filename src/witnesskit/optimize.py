@@ -18,7 +18,14 @@ calls LAPACK's MRRR driver ``zheevr`` for the lowest eigenvalue alone
 rather than a full ``eigh`` (about 3x cheaper at 256 dims).  The raw
 LAPACK call, not ``scipy.linalg.eigh``, keeps the per-call overhead
 below ``np.linalg.eigh``'s for the thousands of 2x2 and 3x3 solves of
-small searches.
+small searches.  Halves of ``_KRYLOV_MIN_SIDE`` (128) dims and up first
+try a capped ARPACK Lanczos run started from the previous iterate,
+which sits next to the answer, so it converges in a few matvecs when
+the spectral gap is wide (the 256-dim state-lift probe: 7 matvecs, a
+third of the zheevr cost).  Its answer is certified, or replaced by
+``zheevr``: the residual must be at most 1e-9 (1 + |lambda|), and a
+Cholesky factorization of the matrix shifted down to just below lambda
+must succeed, which proves that no lower eigenvalue exists.
 
 Also here: an epsilon-net oracle that cross-checks the see-saw (a net
 over the smaller factor, an exact eigensolve on the other), and one
@@ -36,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .operators import (
     DENSE_SIDE_CAP,
@@ -125,9 +133,13 @@ class _SplitKernel:
     library ``zheevr`` is linked against: numpy and scipy wheels bundle
     separate OpenBLAS builds, and alternating their thread pools every
     half-step made the 65,536-dim state-lift probe about 3x slower
-    (about 20 s against 7 s) with two BLAS threads on two cores.
-    Bridge terms are whole-space factors with a closed-form conditioned
-    matrix (``bridge_cond``), added in place.
+    (about 20 s against 7 s) with two BLAS threads on two cores; the
+    Krylov half-steps keep the same rule.  Bridge terms are whole-space
+    atoms with a closed-form conditioned matrix (``add_bridge_cond``).
+    Equal atoms merge into one term at build, and each adds itself into
+    M in place, the swap from the w w^H the weight GEMV already uses
+    and the rank-one reversal through BLAS ``zgeru``, so no bridge
+    allocates a d-by-d temporary.
     """
 
     def __init__(self, X, dims=None):
@@ -146,17 +158,18 @@ class _SplitKernel:
         return self._conditioned(v, self._right, self._left, self.d_a)
 
     def _conditioned(self, w, pinned, free, d):
+        ww = np.outer(w, w.conj())
         if self._coeffs.size:
             # Re<w|P|w> = sum over entries of Re(P) Re(w w^H) + Im(P) Im(w w^H),
             # a real dot of the interleaved float views; the transposed
             # views are Fortran-ordered, so neither GEMV copies its matrix
-            proj = np.outer(w, w.conj()).view(np.float64).reshape(-1)
+            proj = ww.view(np.float64).reshape(-1)
             weights = self._coeffs * _DGEMV(1.0, pinned.view(np.float64).T, proj, trans=1)
             M = _DGEMV(1.0, free.view(np.float64).T, weights).view(np.complex128).reshape(d, d)
         else:  # bridge terms only; BLAS rejects an empty stack
             M = np.zeros((d, d), dtype=np.complex128)
         for coeff, factor in self._bridges:
-            M += coeff * factor.bridge_cond(w)
+            factor.add_bridge_cond(M, coeff, w, ww)
         return M
 
 
@@ -224,15 +237,17 @@ def _structured_split(S, dims):
         raise DimensionError(
             f"see-saw halves {dims} exceed dense cap {DENSE_SIDE_CAP}"
         )
-    split, bridges = [], []
+    split, bridges = [], {}
     for coeff, factors in S.terms:
         if (
             len(factors) == 1
             and factors[0].dim == total
             and d_a == d_b
-            and hasattr(factors[0], "bridge_cond")
+            and hasattr(factors[0], "add_bridge_cond")
         ):
-            bridges.append((coeff, factors[0]))
+            # a bridge atom is fixed by its type and dim: equal atoms merge
+            key = (type(factors[0]), total)
+            bridges[key] = (bridges.get(key, (0.0,))[0] + coeff, factors[0])
             continue
         left, right, cum = [], [], 1
         for f in factors:
@@ -250,7 +265,7 @@ def _structured_split(S, dims):
     for k, (_, lf, rf) in enumerate(split):
         left[k] = _hermitian_row(lf, d_a)
         right[k] = _hermitian_row(rf, d_b)
-    return d_a, d_b, coeffs, left, right, tuple(bridges)
+    return d_a, d_b, coeffs, left, right, tuple(bridges.values())
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +295,86 @@ def _heevr_workspace(n):
     return int(work.real), int(rwork), int(iwork)
 
 
-def _ground_pair(M):
+_ZHEMV, _ZNRM2, _ZDOTC = get_blas_funcs(("hemv", "nrm2", "dotc"), dtype=np.complex128)
+_POTRF = get_lapack_funcs("potrf", dtype=np.complex128)
+
+# Halves from this side up try the warm-started Krylov solve first.  On a
+# matrix whose ground gap is half its spread, from a start 1e-2 off the
+# ground vector (one BLAS thread), a certified ARPACK answer costs 0.68 ms
+# against 0.34 ms for zheevr at 64, 1.3 against 1.8 ms at 128 and 3.8
+# against 11.5 ms at 256; the witness lift's 16-dim halves stay on
+# zheevr (20 us).  Six Lanczos vectors converge on the 256-dim state-lift
+# probe in 7 matvecs.  The cap of 20 ARPACK restarts (about 100 matvecs)
+# keeps a failed try cheaper than the zheevr it falls back to: 6.3 ms
+# against 10.9 ms on a small-gap random matrix at 256.
+_KRYLOV_MIN_SIDE = 128
+_KRYLOV_NCV = 6
+_KRYLOV_MAXITER = 20
+
+
+def _krylov_ground_pair(M, start):
+    """Ground pair of M by ARPACK from ``start``, or None if uncertified.
+
+    An answer (lam, x), with lam the Rayleigh quotient of the unit x, is
+    returned only if ||Mx - lam x|| <= delta and M - (lam - delta) I has
+    a Cholesky factor, with delta = 1e-9 (1 + |lam|), the see-saw's own
+    monotonicity slack.  The residual puts an eigenvalue within delta of
+    lam, and the factor proves that none lies below lam - delta, so lam
+    is the lowest eigenvalue to within delta and x lies in the ground
+    space unless another eigenvalue is within delta of it.  An excited
+    pair that Lanczos reached from a start with no ground-state
+    component fails the factorization.  The upper triangle of the
+    C-ordered M is read, as ``zheevr`` does: the Fortran view M.T holds
+    it as its lower triangle, so BLAS and LAPACK work on conj(M), which
+    has the same spectrum and conjugate eigenvectors, without a copy.
+    """
+    n = M.shape[0]
+    A = M.T
+    # ARPACK stops on a residual estimate relative to the Ritz value, a
+    # test a ground eigenvalue of 0 (a witness's product zero) never
+    # passes.  Shifted by 2 ||M||_F, the ground Ritz value lies in
+    # [||M||_F, 3 ||M||_F] and the Krylov space is unchanged.
+    shift = 2.0 * _ZNRM2(M.reshape(-1))
+    op = LinearOperator(
+        (n, n),
+        matvec=lambda y: _ZHEMV(1.0, A, y, beta=shift, y=y, lower=1),
+        dtype=np.complex128,
+    )
+    try:
+        _, vecs = eigsh(
+            op, k=1, which="SA", v0=start.conj(), ncv=_KRYLOV_NCV,
+            maxiter=_KRYLOV_MAXITER, tol=0,
+        )
+    except ArpackError:  # includes ArpackNoConvergence at the iteration cap
+        return None
+    y = vecs[:, 0] / _ZNRM2(vecs[:, 0])  # y = conj(x)
+    Ay = _ZHEMV(1.0, A, y, lower=1)
+    lam = float(_ZDOTC(y, Ay).real)
+    delta = 1e-9 * (1.0 + abs(lam))
+    if _ZNRM2(Ay - lam * y) > delta:
+        return None
+    shifted = A.copy(order="F")
+    shifted.flat[:: n + 1] -= lam - delta
+    _, info = _POTRF(shifted, lower=1, overwrite_a=1, clean=0)
+    if info != 0:
+        return None
+    return lam, y.conj()
+
+
+def _ground_pair(M, start=None):
     """Lowest eigenvalue and a unit eigenvector of a complex Hermitian M.
 
-    Only the upper triangle of M is read.
+    Only the upper triangle of M is read.  For sides of at least
+    ``_KRYLOV_MIN_SIDE`` with a ``start`` vector near the answer (the
+    see-saw passes the previous iterate), a capped ARPACK run is tried
+    first and kept only when ``_krylov_ground_pair`` certifies it;
+    otherwise, and for every smaller side, LAPACK ``zheevr`` computes
+    the pair.
     """
+    if start is not None and M.shape[0] >= _KRYLOV_MIN_SIDE:
+        pair = _krylov_ground_pair(M, start)
+        if pair is not None:
+            return pair
     lwork, lrwork, liwork = _heevr_workspace(M.shape[0])
     vals, vecs, _, _, info = _HEEVR(
         M, range="I", il=1, iu=1, lwork=lwork, lrwork=lrwork, liwork=liwork
@@ -307,15 +397,15 @@ def _seesaw_restart(kernel, cfg, index):
     prev_sweep = value
     for _ in range(cfg.max_sweeps):
         for half in ("A", "B"):
-            lam, vec = _ground_pair(kernel.cond_a(u) if half == "A" else kernel.cond_b(v))
+            # each solve starts from the vector it replaces
+            if half == "A":
+                lam, v = _ground_pair(kernel.cond_a(u), v)
+            else:
+                lam, u = _ground_pair(kernel.cond_b(v), u)
             if lam > value + 1e-9 * (1.0 + abs(value)):
                 raise RuntimeError(
                     "see-saw objective increased; conditioned matrix is inconsistent"
                 )
-            if half == "A":
-                v = vec
-            else:
-                u = vec
             value = lam
         if abs(prev_sweep - value) <= cfg.tol_converge * (1.0 + abs(value)):
             converged = True

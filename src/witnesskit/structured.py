@@ -9,10 +9,10 @@ classical projector used by the four-copy lifts).  Matrix-vector
 products apply factors axis by axis, so a 65,536-dimensional lifted
 operator never needs its dense form.
 
-Factors that cover a full balanced bipartition expose ``bridge_cond``,
-the closed-form conditioned matrix <w (x) b|T|w (x) d> used by the
-product see-saw; for the atoms here that matrix is the same whichever
-half carries w.
+Factors that cover a full balanced bipartition are bridge atoms: they
+add their closed-form conditioned matrix <w (x) b|T|w (x) d>, used by
+the product see-saw, into a matrix in place (``add_bridge_cond``); for
+the atoms here that matrix is the same whichever half carries w.
 
 Structural atoms have exact 0/+-1 entries and the sym/asym projectors
 exact +-1/2 weights, so their algebra (V^2 = I, P^2 = P, ...) holds to
@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 
 from .operators import (
     DENSE_SIDE_CAP,
@@ -60,6 +61,31 @@ class _Factor:
         raise NotImplementedError
 
 
+_ZAXPY, _ZGERU = get_blas_funcs(("axpy", "geru"), dtype=np.complex128)
+
+
+class _BridgeFactor(_Factor):
+    """A whole-space atom on C^n (x) C^n with a closed-form conditioned
+    matrix.
+
+    ``add_bridge_cond(M, coeff, w, ww)`` adds coeff <w,b|T|w,d> into the
+    C-ordered n-by-n matrix M in place, given ww = outer(w, conj(w)),
+    which the see-saw kernel builds anyway; no n-by-n temporary is made.
+    Each atom is fixed by its type and dim, so equal atoms of one
+    operator can share one summed coefficient.
+    """
+
+    def add_bridge_cond(self, M, coeff, w, ww):
+        raise NotImplementedError
+
+    def bridge_cond(self, w):
+        """<w,b|T|w,d> as a new matrix."""
+        w = np.asarray(w, dtype=np.complex128).reshape(-1)
+        out = np.zeros((w.size, w.size), dtype=np.complex128)
+        self.add_bridge_cond(out, 1.0, w, np.outer(w, w.conj()))
+        return out
+
+
 class DenseFactor(_Factor):
     def __init__(self, matrix):
         if isinstance(matrix, HermitianOperator):
@@ -92,7 +118,7 @@ class IdentityFactor(_Factor):
         return np.eye(self.dim)
 
 
-class SwapFactor(_Factor):
+class SwapFactor(_BridgeFactor):
     """V on C^d (x) C^d: V |x>|y> = |y>|x>."""
 
     def __init__(self, d):
@@ -113,12 +139,12 @@ class SwapFactor(_Factor):
                 out[i * d + j, j * d + i] = 1.0
         return out
 
-    def bridge_cond(self, w):
-        # <w,b|V|w,d> = w_b conj(w_d): rank one, same for either half
-        return np.outer(w, w.conj())
+    def add_bridge_cond(self, M, coeff, w, ww):
+        # <w,b|V|w,d> = w_b conj(w_d) = ww: rank one, same for either half
+        _ZAXPY(ww.reshape(-1), M.reshape(-1), a=coeff)
 
 
-class ClassicalProjectorFactor(_Factor):
+class ClassicalProjectorFactor(_BridgeFactor):
     """P_cl on C^d (x) C^d: keeps only the |ii> components."""
 
     def __init__(self, d):
@@ -136,9 +162,9 @@ class ClassicalProjectorFactor(_Factor):
         out[self._idx, self._idx] = 1.0
         return out
 
-    def bridge_cond(self, w):
+    def add_bridge_cond(self, M, coeff, w, ww):
         # <w,b|P_cl|w,d> = delta_bd |w_b|^2
-        return np.diag(np.abs(w) ** 2).astype(np.complex128)
+        M.reshape(-1)[:: self.d + 1] += coeff * np.abs(w) ** 2
 
 
 class SwapKronFactor(_Factor):
@@ -171,7 +197,7 @@ class SwapKronFactor(_Factor):
         return np.kron(self.block, self.block) @ SwapFactor(self.n).dense()
 
 
-class BlockReversalFactor(_Factor):
+class BlockReversalFactor(_BridgeFactor):
     """Subsystem reversal on (C^s)^(x4): |a>|b>|c>|d> -> |d>|c>|b>|a>.
 
     Equals the half swap on C^{s^2} (x) C^{s^2} composed with the
@@ -199,14 +225,15 @@ class BlockReversalFactor(_Factor):
         out[np.arange(self.dim), cols.reshape(-1)] = 1.0
         return out
 
-    def bridge_cond(self, w):
-        # <w,b|R|w,d> = (vw)_b conj((vw)_d) with vw the within-half swap
+    def add_bridge_cond(self, M, coeff, w, ww):
+        # <w,b|R|w,d> = (vw)_b conj((vw)_d) with vw the within-half swap;
+        # M.T is a Fortran view, so the rank-one update writes M in place
         s = self.s
         vw = np.ascontiguousarray(w.reshape(s, s).T).reshape(-1)
-        return np.outer(vw, vw.conj())
+        _ZGERU(coeff, vw.conj(), vw, a=M.T, overwrite_a=1)
 
 
-class ClassicalSwapFactor(_Factor):
+class ClassicalSwapFactor(_BridgeFactor):
     """sum_I |I,I><tI,tI| on C^{s^2} (x) C^{s^2}, t the index swap.
 
     The classical projector on the half basis composed with the
@@ -234,12 +261,9 @@ class ClassicalSwapFactor(_Factor):
         out[self._rows, self._cols] = 1.0
         return out
 
-    def bridge_cond(self, w):
+    def add_bridge_cond(self, M, coeff, w, ww):
         # <w,b|T|w,d> = conj(w_b) w_tb delta_{d,tb}
-        m = self.m
-        out = np.zeros((m, m), dtype=np.complex128)
-        out[np.arange(m), self._swapped] = w.conj() * w[self._swapped]
-        return out
+        M[np.arange(self.m), self._swapped] += coeff * (w.conj() * w[self._swapped])
 
 
 def _as_factor(obj):

@@ -4,9 +4,11 @@ decomposition splitter."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from witnesskit import optimize
 from witnesskit.families import (
     bell_state_witness,
     choi_sigma,
@@ -15,7 +17,7 @@ from witnesskit.families import (
     two_block_witness_optimal,
     w_xyz,
 )
-from witnesskit.lift import lift_witness
+from witnesskit.lift import lift_state, lift_witness
 from witnesskit.operators import (
     DimensionError,
     HermitianOperator,
@@ -26,6 +28,7 @@ from witnesskit.operators import (
 from witnesskit.optimize import (
     OptimizerConfig,
     _ground_pair,
+    _krylov_ground_pair,
     _SplitKernel,
     collect_zero_products,
     decomposition_search,
@@ -38,9 +41,13 @@ from witnesskit.optimize import (
 )
 from witnesskit.sampling import random_hermitian, random_unit_vector, rng_for
 from witnesskit.structured import (
+    BlockReversalFactor,
+    ClassicalProjectorFactor,
+    ClassicalSwapFactor,
     DenseFactor,
     IdentityFactor,
     StructuredOperator,
+    SwapFactor,
     build_structural,
 )
 
@@ -140,6 +147,87 @@ def test_ground_pair_degenerate_ground_space():
     assert np.linalg.norm(vec[:2]) == pytest.approx(1.0, abs=1e-12)
 
 
+def _spectral_matrix(rng, evals):
+    """Hermitian matrix with the given eigenvalues and random eigenvectors."""
+    n = len(evals)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (Q * np.asarray(evals)) @ Q.conj().T, Q
+
+
+def test_krylov_half_steps_match_zheevr_on_state_lift_probe(monkeypatch):
+    # restart 0 of the registry's state-lift probe at seed 0: every
+    # half-step must be certified and agree with zheevr
+    rho = HermitianOperator((2, 2), np.eye(4) / 4.0)
+    lifted = lift_state(rho, 1.0, 1.0, 1.0, cfg=OptimizerConfig(seed=0))
+    kernel = _SplitKernel(lifted.operator, (256, 256))
+    cfg = OptimizerConfig(restarts=4, seed=0, max_sweeps=80)
+    checked = []
+
+    def compare(M, start=None):
+        assert start is not None
+        pair = _krylov_ground_pair(M, start)
+        assert pair is not None
+        lam, vec = pair
+        vals, vecs = scipy.linalg.eigh(M, lower=False, subset_by_index=(0, 1), driver="evr")
+        assert abs(lam - vals[0]) <= 1e-12 * abs(vals[0])
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        if vals[1] - vals[0] > 1e-9 * (1.0 + abs(lam)):
+            assert abs(np.vdot(vecs[:, 0], vec)) >= 1.0 - 1e-10
+        checked.append(lam)
+        return pair
+
+    monkeypatch.setattr(optimize, "_ground_pair", compare)
+    run = optimize._seesaw_restart(kernel, cfg, 0)
+    # the probe's restarts all run to the 80-sweep cap
+    assert len(checked) == 2 * cfg.max_sweeps
+    assert run.value == checked[-1]
+
+
+def test_krylov_rejects_excited_pair_from_wrong_block():
+    # block-diagonal M whose ground state lives in the first block; a
+    # start inside the second block keeps Lanczos there, where it
+    # converges to that block's lowest pair (an excited pair of M) with
+    # a tiny residual.  Only the Cholesky certificate can reject it.
+    rng = rng_for(61)
+    ground, _ = _spectral_matrix(rng, np.linspace(0.0, 0.5, 128))
+    excited, Q = _spectral_matrix(rng, np.concatenate([[1.0], np.linspace(2.0, 3.0, 127)]))
+    M = np.zeros((256, 256), dtype=np.complex128)
+    M[:128, :128], M[128:, 128:] = ground, excited
+    start = np.zeros(256, dtype=np.complex128)
+    start[128:] = Q[:, 0] + 1e-3 * random_unit_vector(rng, 128)
+    start /= np.linalg.norm(start)
+    assert _krylov_ground_pair(M, start) is None
+    lam, vec = _ground_pair(M, start)
+    ref_lam, ref_vec = _ground_pair(M)
+    assert lam == ref_lam
+    np.testing.assert_array_equal(vec, ref_vec)
+    assert lam == pytest.approx(0.0, abs=1e-12)
+
+
+def test_krylov_falls_back_on_small_gap():
+    M = random_hermitian(rng_for(62), (256,)).entries
+    start = random_unit_vector(rng_for(63), 256)
+    assert _krylov_ground_pair(M, start) is None
+    lam, vec = _ground_pair(M, start)
+    ref_lam, ref_vec = _ground_pair(M)
+    assert lam == ref_lam
+    np.testing.assert_array_equal(vec, ref_vec)
+
+
+def test_krylov_degenerate_ground_space():
+    rng = rng_for(64)
+    M, Q = _spectral_matrix(rng, np.concatenate([[0.0] * 3, np.linspace(0.5, 1.0, 253)]))
+    start = Q[:, :3] @ random_unit_vector(rng, 3) + 1e-3 * random_unit_vector(rng, 256)
+    pair = _krylov_ground_pair(M, start / np.linalg.norm(start))
+    assert pair is not None
+    lam, vec = pair
+    ref_lam, _ = _ground_pair(M)
+    assert abs(lam - ref_lam) <= 1e-12
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    # any unit vector of the ground space is a valid answer
+    assert np.linalg.norm(Q[:, :3].conj().T @ vec) >= 1.0 - 1e-10
+
+
 def test_structured_conditioned_matrices_match_dense():
     # the lifted Bell witness mixes split terms with whole-space bridge terms
     S = lift_witness(bell_state_witness()).operator
@@ -160,6 +248,50 @@ def test_structured_conditioned_matrices_match_dense():
             for side, w, got in (("A", u, kernel.cond_a(u)), ("B", v, kernel.cond_b(v))):
                 ref = conditioned_matrix(dense, side, w)
                 assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+_BRIDGE_ATOMS = (
+    lambda s: SwapFactor(s * s),
+    lambda s: BlockReversalFactor(s),
+    lambda s: ClassicalProjectorFactor(s * s),
+    lambda s: ClassicalSwapFactor(s),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(2, 6),
+    bridges=st.lists(
+        st.tuples(st.integers(0, len(_BRIDGE_ATOMS) - 1), st.floats(-2.0, 2.0)),
+        min_size=1,
+        max_size=6,
+    ),
+    n_split=st.integers(0, 3),
+)
+def test_fused_bridges_match_dense(seed, s, bridges, n_split):
+    # halves of side s^2 on (C^s)^(x4): every bridge atom fits, repeats
+    # merge into one term per atom, and split terms mix in
+    d = s * s
+    rng = rng_for(seed)
+    terms = [(coeff, (_BRIDGE_ATOMS[k](s),)) for k, coeff in bridges]
+    for _ in range(n_split):
+        left = random_hermitian(rng, (s,)).entries
+        right = random_hermitian(rng, (d,)).entries
+        terms.append(
+            (float(rng.uniform(-1.0, 1.0)),
+             (DenseFactor(left), IdentityFactor(s), DenseFactor(right)))
+        )
+    S = StructuredOperator((s, s, s, s), terms)
+    kernel = _SplitKernel(S)
+    assert len(kernel._bridges) == len({k for k, _ in bridges})
+    dense = HermitianOperator((d, d), S.to_dense())
+    for _ in range(2):
+        u = random_unit_vector(rng, d)
+        v = random_unit_vector(rng, d)
+        for side, w, got in (("A", u, kernel.cond_a(u)), ("B", v, kernel.cond_b(v))):
+            ref = conditioned_matrix(dense, side, w)
+            assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
 
 def test_seesaw_rejects_non_bipartite_dense():
