@@ -148,6 +148,7 @@ def cmd_minprod(args):
                 "argmin": _product_vector(res.argmin),
                 "converged": bool(res.converged),
                 "restarts_used": int(res.restarts_used),
+                "restarts_converged": int(res.restarts_converged),
             },
             "status": "pass" if res.converged else "indeterminate",
         }

@@ -21,6 +21,7 @@ from witnesskit.lift import lift_state, lift_witness
 from witnesskit.operators import (
     DimensionError,
     HermitianOperator,
+    ProductVector,
     conditioned_matrix,
     partial_transpose,
     product_expectation,
@@ -159,8 +160,7 @@ def test_krylov_half_steps_match_zheevr_on_state_lift_probe(monkeypatch):
     # half-step must be certified and agree with zheevr
     rho = HermitianOperator((2, 2), np.eye(4) / 4.0)
     lifted = lift_state(rho, 1.0, 1.0, 1.0, cfg=OptimizerConfig(seed=0))
-    kernel = _SplitKernel(lifted.operator, (256, 256))
-    cfg = OptimizerConfig(restarts=4, seed=0, max_sweeps=80)
+    cfg = OptimizerConfig(restarts=1, seed=0, max_sweeps=80)
     checked = []
 
     def compare(M, start=None):
@@ -177,7 +177,7 @@ def test_krylov_half_steps_match_zheevr_on_state_lift_probe(monkeypatch):
         return pair
 
     monkeypatch.setattr(optimize, "_ground_pair", compare)
-    run = optimize._seesaw_restart(kernel, cfg, 0)
+    (run,) = optimize._seesaw_all(lifted.operator, cfg, (256, 256))
     # the probe's restarts all run to the 80-sweep cap
     assert len(checked) == 2 * cfg.max_sweeps
     assert run.value == checked[-1]
@@ -294,6 +294,61 @@ def test_fused_bridges_match_dense(seed, s, bridges, n_split):
             assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+    r1=st.integers(1, 8),
+    extra=st.integers(1, 8),
+)
+def test_seesaw_restarts_are_batch_independent(seed, dims, r1, extra):
+    # restarts share one stack of rows and leave it as they converge; a
+    # restart's run must not depend on which other restarts share it
+    X = random_hermitian(rng_for(seed), dims)
+    small = optimize._seesaw_all(X, OptimizerConfig(restarts=r1, seed=seed))
+    large = optimize._seesaw_all(X, OptimizerConfig(restarts=r1 + extra, seed=seed))
+    assert [run.index for run in large] == list(range(r1 + extra))
+    for a, b in zip(small, large):
+        assert a.index == b.index
+        assert abs(a.value - b.value) <= 1e-12 * (1.0 + abs(b.value))
+        assert a.converged == b.converged
+    for run in large:
+        pv = ProductVector(run.u, run.v)
+        assert abs(product_expectation(X, pv) - run.value) <= 1e-12 * (1.0 + abs(run.value))
+    res = min_product_expectation(X, OptimizerConfig(restarts=r1 + extra, seed=seed))
+    assert res.restarts_converged == sum(run.converged for run in large)
+
+
+def test_seesaw_guard_catches_one_rising_row(monkeypatch):
+    # the last row of the stack drifts up by 1e-6 more at every
+    # half-step; the other rows descend as usual
+    ground_pairs = optimize._ground_pairs
+    calls = []
+
+    def rising(M, starts):
+        lam, vecs = ground_pairs(M, starts)
+        calls.append(None)
+        lam = lam.copy()
+        lam[-1] += 1e-6 * len(calls)
+        return lam, vecs
+
+    monkeypatch.setattr(optimize, "_ground_pairs", rising)
+    with pytest.raises(RuntimeError, match="objective increased"):
+        min_product_expectation(sigma1(), CFG)
+
+
+def test_minprod_counts_converged_restarts():
+    # Choi sigma at 64 restarts, seed 0: 19 restarts crawl to the sweep cap
+    cfg = OptimizerConfig(restarts=64, seed=0)
+    lo = min_product_expectation(choi_sigma(), cfg)
+    assert lo.converged
+    assert (lo.restarts_used, lo.restarts_converged) == (64, 45)
+    hi = max_product_expectation(sigma1(), CFG)
+    assert hi.restarts_converged == sum(
+        run.converged for run in optimize._seesaw_all(-sigma1(), CFG)
+    )
+
+
 def test_seesaw_rejects_non_bipartite_dense():
     X = random_hermitian(rng_for(54), (2, 2, 2))
     with pytest.raises(DimensionError, match="needs a bipartite operator"):
@@ -327,6 +382,38 @@ def test_grid_oracle_agrees_on_reference_floor():
     assert grid_oracle_minprod(sigma1(), resolution=96) == pytest.approx(
         0.5, abs=1e-2
     )
+
+
+def _full_sphere_net(d, resolution):
+    """The whole net from one meshgrid, the reference for the streamed rows."""
+    theta = np.linspace(0.0, np.pi / 2.0, resolution)
+    phi = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+    axes = [theta] * (d - 1) + [phi] * (d - 1)
+    grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    amps, s = [], np.ones(resolution ** (2 * (d - 1)))
+    for t in grid[: d - 1]:
+        amps.append(s * np.cos(t))
+        s = s * np.sin(t)
+    amps.append(s)
+    phased = [a * np.exp(1j * p) for a, p in zip(amps[1:], grid[d - 1 :])]
+    return np.stack([amps[0].astype(np.complex128), *phased], axis=1)
+
+
+def test_streamed_net_matches_full_net():
+    for d, resolution, bounds in [(1, 5, [0, 1]), (2, 7, [0, 5, 49]), (3, 6, [0, 1, 700, 1296])]:
+        full = _full_sphere_net(d, resolution)
+        rows = [
+            optimize._sphere_net_rows(d, resolution, lo, hi)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        np.testing.assert_array_equal(np.concatenate(rows), full)
+    for k, dims in enumerate([(2, 2), (2, 3)]):
+        X = random_hermitian(rng_for(55, k), dims)
+        d_a, d_b = dims
+        tens = X.entries.reshape(d_a, d_b, d_a, d_b)
+        u = _full_sphere_net(d_a, 64)
+        M = np.einsum("ai,ijkl,ak->ajl", u.conj(), tens, u, optimize=True)
+        assert grid_oracle_minprod(X) == float(np.linalg.eigvalsh(M)[:, 0].min())
 
 
 def test_grid_oracle_validation():
