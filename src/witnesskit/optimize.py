@@ -58,7 +58,7 @@ from .operators import (
     ProductVector,
 )
 from .sampling import random_unit_vector, rng_for
-from .structured import StructuredOperator
+from .structured import StructuredOperator, _term_key
 
 __all__ = [
     "DecompositionResult",
@@ -147,7 +147,8 @@ class _SplitKernel:
     about 3x slower (about 20 s against 7 s) with two BLAS threads on
     two cores; the Krylov half-steps keep the same rule.  Bridge terms
     are whole-space atoms with a closed-form conditioned matrix
-    (``add_bridge_cond``).  Equal atoms merge into one term at build,
+    (``add_bridge_cond``).  Split rows with equal halves merge at build
+    (``_structured_split``).  Equal atoms merge into one term at build,
     and each adds itself into every row's M in place, the swap from the
     w w^H the weight GEMM already uses and the rank-one reversal
     through BLAS ``zgeru``, so no bridge allocates a d-by-d temporary.
@@ -240,7 +241,12 @@ def _dense_split(X, dims):
 def _structured_split(S, dims):
     """Stacks of a structured operator.  Every term's factor list must hit
     the bipartition boundary, except a whole-space factor that supplies
-    ``bridge_cond`` on a balanced bipartition (a bridge term)."""
+    ``bridge_cond`` on a balanced bipartition (a bridge term).
+
+    Split rows with equal halves merge, halves compared by the keys of
+    the matvec plan: rows with equal right halves first sum their left
+    halves, then rows with equal single left halves sum their right
+    halves.  The state lift's seven rows become four for any state."""
     total = S.total_dim
     if dims is None:
         root = math.isqrt(total)
@@ -256,7 +262,7 @@ def _structured_split(S, dims):
         raise DimensionError(
             f"see-saw halves {dims} exceed dense cap {DENSE_SIDE_CAP}"
         )
-    split, bridges = [], {}
+    by_right, bridges = {}, {}
     for coeff, factors in S.terms:
         if (
             len(factors) == 1
@@ -265,8 +271,7 @@ def _structured_split(S, dims):
             and hasattr(factors[0], "add_bridge_cond")
         ):
             # a bridge atom is fixed by its type and dim: equal atoms merge
-            key = (type(factors[0]), total)
-            bridges[key] = (bridges.get(key, (0.0,))[0] + coeff, factors[0])
+            _add_part(bridges, coeff, factors[0], factors[0].key)
             continue
         left, right, cum = [], [], 1
         for f in factors:
@@ -276,15 +281,42 @@ def _structured_split(S, dims):
                 raise DimensionError(
                     "a term factor straddles the see-saw bipartition"
                 )
-        split.append((coeff, left, right))
+        lefts = by_right.setdefault(_term_key(right), (right, {}))[1]
+        _add_part(lefts, coeff, left, _term_key(left))
+    rows, by_left = [], {}
+    for right, lefts in by_right.values():
+        if len(lefts) == 1:
+            ((coeff, left),) = lefts.values()
+            rights = by_left.setdefault(_term_key(left), (left, {}))[1]
+            _add_part(rights, coeff, right, _term_key(right))
+        else:
+            rows.append((lefts, {None: (1.0, right)}))
+    rows += [({None: (1.0, left)}, rights) for left, rights in by_left.values()]
     # fill the stacks row by row so no second copy of the halves is held
-    coeffs = np.array([coeff for coeff, _, _ in split], dtype=np.float64)
-    left = np.empty((len(split), d_a * d_a), dtype=np.complex128)
-    right = np.empty((len(split), d_b * d_b), dtype=np.complex128)
-    for k, (_, lf, rf) in enumerate(split):
-        left[k] = _hermitian_row(lf, d_a)
-        right[k] = _hermitian_row(rf, d_b)
+    coeffs = np.empty(len(rows), dtype=np.float64)
+    left = np.empty((len(rows), d_a * d_a), dtype=np.complex128)
+    right = np.empty((len(rows), d_b * d_b), dtype=np.complex128)
+    for k, (lefts, rights) in enumerate(rows):
+        coeffs[k] = _fill_half(left[k], lefts, d_a) * _fill_half(right[k], rights, d_b)
     return d_a, d_b, coeffs, left, right, tuple(bridges.values())
+
+
+def _add_part(parts, coeff, item, key):
+    """parts[key] = (summed coefficient, item)."""
+    parts[key] = (parts.get(key, (0.0,))[0] + coeff, item)
+
+
+def _fill_half(out, parts, dim):
+    """Write the Hermitian row of sum_j c_j (x)F_j into ``out`` and return
+    the row's coefficient: a lone part keeps its own, a sum carries 1."""
+    if len(parts) == 1:
+        ((coeff, factors),) = parts.values()
+        out[:] = _hermitian_row(factors, dim)
+        return coeff
+    out[:] = 0.0
+    for coeff, factors in parts.values():
+        out += coeff * _hermitian_row(factors, dim)
+    return 1.0
 
 
 # ---------------------------------------------------------------------------

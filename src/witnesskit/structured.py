@@ -5,9 +5,19 @@ terms.  Each factor is either a dense Hermitian block or one of a few
 named structural atoms (identity, the swap V = sum |i>|j><j|<i|, the
 classical projector P_cl = sum |ii><ii|, the swap-dressed product
 (m (x) m)V, the four-subsystem reversal, and the swap-composed
-classical projector used by the four-copy lifts).  Matrix-vector
-products apply factors axis by axis, so a 65,536-dimensional lifted
-operator never needs its dense form.
+classical projector used by the four-copy lifts), so a
+65,536-dimensional lifted operator never needs its dense form.
+
+Matrix-vector products run a plan built once per operator.  Equal
+terms merge into one: structural atoms compare by (type, dim), factors
+that carry a matrix by identity, and runs of identities fuse.  The two
+classical atoms are partial permutations of their axis (16 of 256
+indices at 65,536 dims), so a term first gathers their input support
+(``support``), applies its other factors to the reduced tensor, and
+adds the result into the output at their output support.  Every other
+factor acts in place on a (pre, dim, post) view of the term's tensor
+(``act``): a dense block is one broadcast matmul, a swap or reversal
+one reshape and transpose, and nothing is moved to the front and back.
 
 Factors that cover a full balanced bipartition are bridge atoms: they
 add their closed-form conditioned matrix <w (x) b|T|w (x) d>, used by
@@ -50,21 +60,42 @@ __all__ = [
 
 
 class _Factor:
-    """One tensor slot of a term.  Subclasses act on (dim, rest) blocks."""
+    """One tensor slot of a term.
+
+    ``act(y)`` applies the factor to the middle axis of a (pre, dim,
+    post) array and returns the result in the same element order.  The
+    partial permutations instead set ``support = (rows, cols)``: output
+    index rows[i] takes input index cols[i], every other output index is
+    zero.  ``key`` names the factor when equal terms merge; a factor
+    that carries a matrix is only equal to itself.
+    """
 
     dim = 0
+    support = None
 
-    def apply(self, block):
+    @property
+    def key(self):
+        return self
+
+    def act(self, y):
         raise NotImplementedError
 
     def dense(self):
         raise NotImplementedError
 
 
+class _StructuralFactor(_Factor):
+    """An atom fixed by its type and dim, so equal atoms share a key."""
+
+    @property
+    def key(self):
+        return (type(self), self.dim)
+
+
 _ZAXPY, _ZGERU = get_blas_funcs(("axpy", "geru"), dtype=np.complex128)
 
 
-class _BridgeFactor(_Factor):
+class _BridgeFactor(_StructuralFactor):
     """A whole-space atom on C^n (x) C^n with a closed-form conditioned
     matrix.
 
@@ -100,19 +131,21 @@ class DenseFactor(_Factor):
         self.matrix = arr
         self.dim = arr.shape[0]
 
-    def apply(self, block):
-        return self.matrix @ block
+    def act(self, y):
+        pre, d, post = y.shape
+        if post == 1:  # one GEMM instead of pre matrix-vector products
+            return y.reshape(pre, d) @ self.matrix.T
+        return np.matmul(self.matrix, y)
 
     def dense(self):
         return self.matrix
 
 
-class IdentityFactor(_Factor):
+class IdentityFactor(_StructuralFactor):
+    """I on C^dim; terms skip it, so it has no action."""
+
     def __init__(self, dim):
         self.dim = int(dim)
-
-    def apply(self, block):
-        return block
 
     def dense(self):
         return np.eye(self.dim)
@@ -125,11 +158,9 @@ class SwapFactor(_BridgeFactor):
         self.d = int(d)
         self.dim = self.d * self.d
 
-    def apply(self, block):
-        d, rest = self.d, block.shape[1]
-        return (
-            block.reshape(d, d, rest).transpose(1, 0, 2).reshape(self.dim, rest)
-        )
+    def act(self, y):
+        pre, _, post = y.shape
+        return y.reshape(pre, self.d, self.d, post).transpose(0, 2, 1, 3)
 
     def dense(self):
         d = self.d
@@ -151,11 +182,7 @@ class ClassicalProjectorFactor(_BridgeFactor):
         self.d = int(d)
         self.dim = self.d * self.d
         self._idx = np.arange(self.d) * (self.d + 1)
-
-    def apply(self, block):
-        out = np.zeros_like(block)
-        out[self._idx] = block[self._idx]
-        return out
+        self.support = (slice(0, None, self.d + 1), self._idx)
 
     def dense(self):
         out = np.zeros((self.dim, self.dim))
@@ -186,12 +213,17 @@ class SwapKronFactor(_Factor):
         self.n = arr.shape[0]
         self.dim = self.n * self.n
 
-    def apply(self, block):
-        n, rest = self.n, block.shape[1]
-        x = block.reshape(n, n, rest).transpose(1, 0, 2)  # the swap
-        x = np.tensordot(self.block, x, axes=(1, 0))      # m on axis 0
-        x = np.tensordot(self.block, x, axes=(1, 1)).transpose(1, 0, 2)
-        return x.reshape(self.dim, rest)
+    def act(self, y):
+        # out[p,a,b,q] = sum_cd m[a,c] m[b,d] y[p,d,c,q]: contract c, then
+        # d with a carried along, then swap a and b back
+        pre, _, post = y.shape
+        n, m = self.n, self.block
+        if post == 1:
+            t = y.reshape(pre * n, n) @ m.T
+        else:
+            t = np.matmul(m, y.reshape(pre, n, n, post))
+        t = np.matmul(m, t.reshape(pre, n, n * post))
+        return t.reshape(pre, n, n, post).transpose(0, 2, 1, 3)
 
     def dense(self):
         return np.kron(self.block, self.block) @ SwapFactor(self.n).dense()
@@ -210,13 +242,10 @@ class BlockReversalFactor(_BridgeFactor):
         self.s = int(s)
         self.dim = self.s ** 4
 
-    def apply(self, block):
-        s, rest = self.s, block.shape[1]
-        return (
-            block.reshape(s, s, s, s, rest)
-            .transpose(3, 2, 1, 0, 4)
-            .reshape(self.dim, rest)
-        )
+    def act(self, y):
+        pre, _, post = y.shape
+        s = self.s
+        return y.reshape(pre, s, s, s, s, post).transpose(0, 4, 3, 2, 1, 5)
 
     def dense(self):
         s = self.s
@@ -250,11 +279,7 @@ class ClassicalSwapFactor(_BridgeFactor):
         self._swapped = (idx % self.s) * self.s + idx // self.s
         self._rows = idx * (m + 1)
         self._cols = self._swapped * (m + 1)
-
-    def apply(self, block):
-        out = np.zeros_like(block)
-        out[self._rows] = block[self._cols]
-        return out
+        self.support = (slice(0, None, m + 1), self._cols)
 
     def dense(self):
         out = np.zeros((self.dim, self.dim))
@@ -272,6 +297,49 @@ def _as_factor(obj):
     return DenseFactor(obj)
 
 
+def _fused(factors):
+    """The factors with each run of identities fused into one."""
+    out = []
+    for f in factors:
+        if out and isinstance(f, IdentityFactor) and isinstance(out[-1], IdentityFactor):
+            out[-1] = IdentityFactor(out[-1].dim * f.dim)
+        else:
+            out.append(f)
+    return tuple(out)
+
+
+def _term_key(factors):
+    """Equal keys mean equal Kronecker products of the factors."""
+    return tuple(f.key for f in _fused(factors))
+
+
+def _term_plan(coeff, factors):
+    """How ``matvec`` applies coeff * (F_1 (x) F_2 (x) ...).
+
+    Returns (coeff, shape, gathers, actions, scatter): the input is
+    viewed as ``shape``, one axis per factor; ``gathers`` take the
+    input support of each partial permutation; ``actions`` apply the
+    remaining factors, each with the (pre, dim, post) view of the
+    reduced tensor; ``scatter`` indexes the output support, or is None
+    when the term has no partial permutation and covers the whole space.
+    """
+    factors = _fused(factors)
+    shape = tuple(f.dim for f in factors)
+    reduced = list(shape)
+    gathers, scatter = [], [slice(None)] * len(shape)
+    for axis, f in enumerate(factors):
+        if f.support is not None:
+            scatter[axis], cols = f.support
+            gathers.append((axis, cols))
+            reduced[axis] = cols.size
+    actions = []
+    for axis, f in enumerate(factors):
+        if f.support is None and not isinstance(f, IdentityFactor):
+            view = (math.prod(reduced[:axis]), f.dim, math.prod(reduced[axis + 1:]))
+            actions.append((f, view))
+    return coeff, shape, tuple(gathers), tuple(actions), tuple(scatter) if gathers else None
+
+
 @dataclass(frozen=True)
 class StructuredOperator:
     """sum_t coeff_t * (F_t1 (x) F_t2 (x) ...), applied without kron.
@@ -279,7 +347,8 @@ class StructuredOperator:
     ``space_dims`` records the tensor structure of the carrier space;
     each term's factor dimensions must multiply to the same total, but
     factors may tile the space differently from ``space_dims`` (a swap
-    atom covers two slots at once).
+    atom covers two slots at once).  ``terms`` are kept as given; the
+    matvec plan, with equal terms merged, is built once here.
     """
 
     space_dims: tuple
@@ -289,6 +358,7 @@ class StructuredOperator:
         space_dims = tuple(int(d) for d in space_dims)
         total = math.prod(space_dims)
         norm_terms = []
+        merged = {}
         for coeff, factors in terms:
             factors = tuple(_as_factor(f) for f in factors)
             prod = math.prod(f.dim for f in factors)
@@ -297,21 +367,35 @@ class StructuredOperator:
                     f"term factor dims multiply to {prod}, expected {total}"
                 )
             norm_terms.append((float(coeff), factors))
+            key = _term_key(factors)
+            merged[key] = (merged.get(key, (0.0,))[0] + float(coeff), factors)
         object.__setattr__(self, "space_dims", space_dims)
         object.__setattr__(self, "terms", tuple(norm_terms))
+        object.__setattr__(
+            self, "_plan", tuple(_term_plan(c, fs) for c, fs in merged.values())
+        )
 
     @property
     def total_dim(self):
         return math.prod(self.space_dims)
 
     def matvec(self, x):
-        x = np.asarray(x, dtype=np.complex128).reshape(-1)
+        x = np.ascontiguousarray(x, dtype=np.complex128).reshape(-1)
         total = self.total_dim
         if x.size != total:
             raise DimensionError(f"vector size {x.size}, expected {total}")
         out = np.zeros(total, dtype=np.complex128)
-        for coeff, factors in self.terms:
-            out += coeff * _apply_term(factors, x, total)
+        for coeff, shape, gathers, actions, scatter in self._plan:
+            y = x.reshape(shape)
+            for axis, cols in gathers:
+                y = np.take(y, cols, axis=axis)
+            for factor, view in actions:
+                y = factor.act(y.reshape(view))
+            if scatter is None:
+                out = _ZAXPY(y.reshape(-1), out, a=coeff)
+            else:
+                block = out.reshape(shape)[scatter]
+                block += coeff * y.reshape(block.shape)
         return out
 
     def expectation(self, x):
@@ -346,20 +430,6 @@ class StructuredOperator:
                 f"space dims mismatch: {self.space_dims} vs {other.space_dims}"
             )
         return StructuredOperator(self.space_dims, self.terms + other.terms)
-
-
-def _apply_term(factors, x, total):
-    y = x
-    pre = 1
-    for f in factors:
-        d = f.dim
-        post = total // (pre * d)
-        if not isinstance(f, IdentityFactor):
-            block = y.reshape(pre, d, post).transpose(1, 0, 2).reshape(d, pre * post)
-            block = f.apply(block)
-            y = block.reshape(d, pre, post).transpose(1, 0, 2).reshape(total)
-        pre *= d
-    return y
 
 
 def build_structural(kind, d):

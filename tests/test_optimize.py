@@ -40,7 +40,12 @@ from witnesskit.optimize import (
     ppt_violation_search,
     spanning_rank,
 )
-from witnesskit.sampling import random_hermitian, random_unit_vector, rng_for
+from witnesskit.sampling import (
+    random_density,
+    random_hermitian,
+    random_unit_vector,
+    rng_for,
+)
 from witnesskit.structured import (
     BlockReversalFactor,
     ClassicalProjectorFactor,
@@ -353,6 +358,33 @@ def test_seesaw_rejects_non_bipartite_dense():
     X = random_hermitian(rng_for(54), (2, 2, 2))
     with pytest.raises(DimensionError, match="needs a bipartite operator"):
         min_product_expectation(X, CFG)
+
+
+def test_state_lift_split_rows_merge():
+    # the state lift's seven split rows merge into (hh|P)+(tw|P),
+    # (P|hh)+(P|tw), (I|I) and (V|V) for any state, and the merged stacks
+    # condition like the sum of the terms taken one at a time
+    rng = rng_for(55)
+    sources = [
+        (HermitianOperator((2, 2), np.eye(4) / 4.0), (1.0, 1.0, 1.0)),  # the probe
+        (random_density(rng, (2, 2)), (1.0, 0.7, 1.3)),
+    ]
+    for rho, weights in sources:
+        S = lift_state(rho, *weights).operator
+        kernel = _SplitKernel(S, dims=(256, 256))
+        assert kernel._coeffs.size == 4
+        singles = [
+            _SplitKernel(StructuredOperator(S.space_dims, [term]), dims=(256, 256))
+            for term in S.terms
+        ]
+        for _ in range(2):
+            u = random_unit_vector(rng, 256)
+            v = random_unit_vector(rng, 256)
+            for got, ref in (
+                (kernel.cond_a(u), sum(k.cond_a(u) for k in singles)),
+                (kernel.cond_b(v), sum(k.cond_b(v) for k in singles)),
+            ):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_structured_kernel_rejects_straddling_terms():

@@ -4,9 +4,17 @@ used by the see-saw bridge."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from witnesskit.lift import lift_state
 from witnesskit.operators import DimensionError, NonFiniteError, NonHermitianError
-from witnesskit.sampling import random_hermitian, random_unit_vector, rng_for
+from witnesskit.sampling import (
+    random_density,
+    random_hermitian,
+    random_unit_vector,
+    rng_for,
+)
 from witnesskit.structured import (
     BlockReversalFactor,
     ClassicalProjectorFactor,
@@ -204,3 +212,151 @@ def test_dense_factor_validation():
         DenseFactor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(NonFiniteError):
         SwapKronFactor(np.array([[1.0, 0.0], [0.0, np.inf]]))
+
+
+# Atoms that cover k consecutive slots of (C^s)^(x4), as (k, build(s, rng)).
+_SLOT_ATOMS = (
+    (1, lambda s, rng: IdentityFactor(s)),
+    (1, lambda s, rng: DenseFactor(random_hermitian(rng, (s,)).entries)),
+    (2, lambda s, rng: IdentityFactor(s * s)),
+    (2, lambda s, rng: DenseFactor(random_hermitian(rng, (s * s,)).entries)),
+    (2, lambda s, rng: SwapFactor(s)),
+    (2, lambda s, rng: ClassicalProjectorFactor(s)),
+    (2, lambda s, rng: SwapKronFactor(random_hermitian(rng, (s,)).entries)),
+    (3, lambda s, rng: IdentityFactor(s ** 3)),
+    (4, lambda s, rng: IdentityFactor(s ** 4)),
+    (4, lambda s, rng: SwapFactor(s * s)),
+    (4, lambda s, rng: ClassicalProjectorFactor(s * s)),
+    (4, lambda s, rng: SwapKronFactor(random_hermitian(rng, (s * s,)).entries)),
+    (4, lambda s, rng: BlockReversalFactor(s)),
+    (4, lambda s, rng: ClassicalSwapFactor(s)),
+)
+
+
+def _draw_atoms(rng):
+    """Indices into ``_SLOT_ATOMS`` tiling the four slots left to right,
+    each drawn uniformly from the atoms that fit the slots still open."""
+    picks, left = [], 4
+    while left:
+        fits = [i for i, (k, _) in enumerate(_SLOT_ATOMS) if k <= left]
+        picks.append(fits[rng.integers(len(fits))])
+        left -= _SLOT_ATOMS[picks[-1]][0]
+    return picks
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.sampled_from([2, 3, 4, 5, 6]),
+    n_terms=st.integers(2, 6),
+)
+def test_structured_matvec_matches_dense(seed, s, n_terms):
+    # random terms over every atom on (C^s)^(x4), up to 1,296 dims; every
+    # operator holds an identity-only term and a term of two partial
+    # permutations, and terms repeat, either as the same factor objects
+    # (equal by identity) or as a fresh build of the same atoms
+    # (structural atoms equal by type and dim)
+    rng = rng_for(seed)
+    terms = [
+        (0.5, (IdentityFactor(s * s), IdentityFactor(s), IdentityFactor(s))),
+        (-0.7, (ClassicalProjectorFactor(s), ClassicalProjectorFactor(s))),
+    ]
+    for _ in range(n_terms):
+        picks = _draw_atoms(rng)
+        factors = tuple(_SLOT_ATOMS[i][1](s, rng) for i in picks)
+        terms.append((float(rng.uniform(-2.0, 2.0)), factors))
+        repeat = rng.integers(3)
+        if repeat == 1:
+            terms.append((float(rng.uniform(-2.0, 2.0)), factors))
+        elif repeat == 2:
+            rebuilt = tuple(_SLOT_ATOMS[i][1](s, rng) for i in picks)
+            terms.append((float(rng.uniform(-2.0, 2.0)), rebuilt))
+    S = StructuredOperator((s,) * 4, terms)
+    assert len(S.terms) == len(terms)
+    dense = S.to_dense()
+    for _ in range(2):
+        x = random_unit_vector(rng, s ** 4)
+        ref = dense @ x
+        assert np.abs(S.matvec(x) - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+def _axis_action(f, y):
+    """Factor f on the middle axis of y, shaped (pre, f.dim, post), by
+    einsum over its index structure."""
+    pre, _, post = y.shape
+    if isinstance(f, IdentityFactor):
+        return y
+    if isinstance(f, DenseFactor):
+        return np.einsum("ij,pjq->piq", f.matrix, y)
+    if isinstance(f, SwapFactor):
+        return np.einsum("pabq->pbaq", y.reshape(pre, f.d, f.d, post))
+    if isinstance(f, ClassicalProjectorFactor):
+        e = np.eye(f.d)
+        return np.einsum("ab,pabq->pabq", e, y.reshape(pre, f.d, f.d, post))
+    if isinstance(f, SwapKronFactor):
+        y4 = y.reshape(pre, f.n, f.n, post)
+        return np.einsum("ac,bd,pdcq->pabq", f.block, f.block, y4, optimize=True)
+    y6 = y.reshape(pre, f.s, f.s, f.s, f.s, post)
+    if isinstance(f, BlockReversalFactor):
+        return np.einsum("pabcdq->pdcbaq", y6)
+    assert isinstance(f, ClassicalSwapFactor)
+    e = np.eye(f.s)
+    return np.einsum("ac,bd,pbabaq->pabcdq", e, e, y6)
+
+
+def _einsum_matvec(S, x):
+    """sum_t c_t (F_t1 (x) F_t2 (x) ...) x, term by term, axis by axis."""
+    out = np.zeros(x.size, dtype=np.complex128)
+    for coeff, factors in S.terms:
+        y, pre = x, 1
+        for f in factors:
+            post = x.size // (pre * f.dim)
+            y = _axis_action(f, y.reshape(pre, f.dim, post))
+            pre *= f.dim
+        out += coeff * y.reshape(-1)
+    return out
+
+
+def test_lift_operators_match_einsum_reference_at_full_scale():
+    # the 65,536-dim state lift (merged identity and swap terms, four
+    # partial-permutation terms) and a witness-shaped lift on (C^16)^(x4)
+    rng = rng_for(39)
+    rho = random_density(rng, (2, 2))
+    state = lift_state(rho, 1.0, 0.7, 1.3).operator
+    W = random_hermitian(rng, (4, 4)).entries
+    block, cross, half = DenseFactor(W), SwapKronFactor(W), 256
+    witness = StructuredOperator(
+        (16, 16, 16, 16),
+        [
+            (0.5, (block, block, block, block)),
+            (0.5, (cross, cross)),
+            (0.75, (IdentityFactor(half), IdentityFactor(half))),
+            (-0.75, (SwapFactor(half),)),
+        ],
+    )
+    for S in (state, witness):
+        assert S.total_dim == 65536
+        x = random_unit_vector(rng, S.total_dim)
+        ref = _einsum_matvec(S, x)
+        assert np.abs(S.matvec(x) - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+def test_merge_keys_structural_atoms_by_type_and_dim():
+    # V_2 (x) V_4 and V_4 (x) V_2 tile 64 dims with the same atom types
+    # in the same order, so only the dims keep them apart; runs of
+    # identities fuse, so differently tiled identities merge
+    S = StructuredOperator(
+        (64,),
+        [
+            (0.5, (SwapFactor(2), SwapFactor(4))),
+            (-1.5, (SwapFactor(4), SwapFactor(2))),
+            (0.25, (IdentityFactor(4), IdentityFactor(16))),
+            (0.75, (IdentityFactor(16), IdentityFactor(4))),
+        ],
+    )
+    assert len(S._plan) == 3
+    dense = S.to_dense()
+    rng = rng_for(41)
+    for _ in range(2):
+        x = random_unit_vector(rng, 64)
+        np.testing.assert_allclose(S.matvec(x), dense @ x, atol=1e-13)
