@@ -36,7 +36,6 @@ from .optimize import (
     PPTViolation,
     collect_zero_products,
     decomposition_search,
-    find_ppt_violation,
     grid_oracle_minprod,
     max_product_expectation,
     min_product_expectation,

@@ -43,7 +43,6 @@ from .operators import (
 )
 from .optimize import (
     OptimizerConfig,
-    decomposition_search,
     max_product_expectation,
     min_product_expectation,
     ppt_violation_search,
@@ -281,12 +280,12 @@ def cmd_family(args):
 def cmd_decompose(args):
     cfg = _config(args)
     X = load_operator(args.matrix)
-    dec = decomposition_search(X, residual_tol=args.residual_tol)
     ppt = ppt_violation_search(X, cfg)
+    dec = ppt.decomposition
     results = {
         "decomposition": {
             "success": bool(dec.success),
-            "residual": _num(dec.residual, args.residual_tol),
+            "residual": _num(dec.residual, cfg.tol_zero),
         },
         "ppt_search": {
             "violation_found": ppt.violation is not None,
@@ -306,7 +305,6 @@ def cmd_decompose(args):
                 "matrix": args.matrix,
                 "seed": cfg.seed,
                 "restarts": cfg.restarts,
-                "residual_tol": args.residual_tol,
             },
             "results": results,
             "status": "pass" if (dec.success or ppt.violation) else "indeterminate",
@@ -394,7 +392,6 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="PSD + partial-transposed-PSD split and PPT search")
     p.add_argument("matrix")
-    p.add_argument("--residual-tol", type=float, default=1e-7)
     _add_common(p)
     p.set_defaults(func=cmd_decompose)
 

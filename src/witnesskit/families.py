@@ -26,8 +26,8 @@ from .operators import (
 from .optimize import (
     OptimizerConfig,
     decomposition_search,
-    find_ppt_violation,
     min_product_expectation,
+    ppt_violation_search,
 )
 
 __all__ = [
@@ -621,7 +621,7 @@ def _build_isotropic_primed(cfg):
 
 
 def _build_choi_ppt_violation(cfg):
-    hit = find_ppt_violation(w_xyz(1.0, 1.0, 0.0).operator, cfg)
+    hit = ppt_violation_search(w_xyz(1.0, 1.0, 0.0).operator, cfg).violation
     return {"violation_value": hit.value if hit is not None else 0.0}
 
 

@@ -23,6 +23,7 @@ one BLAS thread) and is never materialized densely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +184,8 @@ class LiftedWitness:
     projector_invariance_gap: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.constant):
+            raise ValueError(f"penalty constant must be finite, got {self.constant}")
         if self.constant < self.y_norm - 1e-9:
             raise ValueError(
                 f"penalty constant {self.constant:.6g} is below the norm "
@@ -193,6 +196,8 @@ class LiftedWitness:
 def _finish_lift(Y, C, cfg, source_kind, source, params=()):
     """Probe the symmetric part Y, set the penalty (default
     C = 2 ||Y||_inf) and assemble the ``LiftedWitness``."""
+    if C is not None and not math.isfinite(C):
+        raise ValueError(f"penalty constant must be finite, got {C}")
     gap = projector_sandwich_gap(Y, n_probes=4, seed=cfg.seed)
     if gap > 1e-8:
         raise ArithmeticError(
@@ -318,8 +323,8 @@ def lift_state(rho, alpha, beta, gamma, C=None, cfg=None):
     if len(rho.dims) != 2:
         raise DimensionError(f"state must be bipartite, got dims {rho.dims}")
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)
-    if min(alpha, beta, gamma) <= 0.0:
-        raise ValueError("weights alpha, beta, gamma must all be positive")
+    if not all(math.isfinite(w) and w > 0.0 for w in (alpha, beta, gamma)):
+        raise ValueError("weights alpha, beta, gamma must all be positive and finite")
     n = rho.side
     s = n * n
     if gamma > beta * s * s:

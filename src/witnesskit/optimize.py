@@ -37,8 +37,11 @@ Also here: an epsilon-net oracle that cross-checks the see-saw (a net
 over the smaller factor, an exact eigensolve on the other), and one
 Moreau split of a witness over the PPT cone, W = Z + P + Q^Gamma with
 P, Q PSD and Z in the negated PPT cone, computed by a single Dykstra
-loop.  Z = 0 is a decomposition W = P + Q^Gamma; a nonzero Z yields
-the PPT state -Z / tr(-Z) with negative witness expectation.
+loop.  ``ppt_violation_search`` runs it once and reads both outcomes:
+Z = 0 is a decomposition W = P + Q^Gamma; a nonzero Z yields the PPT
+state -Z / tr(-Z) with negative witness expectation, made exactly PSD
+and PPT by mixing in just enough of the identity (closed form, no
+second projection loop).
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ __all__ = [
     "PPTViolation",
     "collect_zero_products",
     "decomposition_search",
-    "find_ppt_violation",
     "grid_oracle_minprod",
     "max_product_expectation",
     "min_product_expectation",
@@ -95,8 +97,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.tol_converge <= 0 or self.tol_zero <= 0:
-            raise ValueError("tolerances must be positive")
+        for tol in (self.tol_converge, self.tol_zero):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError("tolerances must be positive and finite")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
 
@@ -708,15 +711,18 @@ class PPTViolation:
 
 @dataclass(frozen=True)
 class PPTSearchResult:
-    """``best_value`` is tr(W rho) at the state the split ends on (0.0
-    when -Z has no positive trace, lambda_min(W) when W is PSD);
-    ``converged`` means a verdict was reached, a decomposition or a
-    certified violation; ``starts_used`` is 1, or 0 on PSD input."""
+    """``decomposition`` is the one split the search ran, ``violation``
+    the PPT state read from it if certified, and ``best_value`` tr(W rho)
+    at that state (0.0 when -Z has no positive trace, lambda_min(W)
+    when W is PSD); ``converged`` means a verdict was reached, a
+    decomposition or a certified violation; ``starts_used`` is 1, or 0
+    on PSD input."""
 
     violation: object  # PPTViolation | None
     best_value: float
     converged: bool
     starts_used: int
+    decomposition: DecompositionResult
 
 
 def _pt2(arr, dims):
@@ -732,28 +738,6 @@ def _psd_clip(arr):
     vals, vecs = np.linalg.eigh((arr + arr.conj().T) / 2.0)
     vals = np.clip(vals, 0.0, None)
     return (vecs * vals) @ vecs.conj().T
-
-
-def _project_ppt_body(arr, dims, max_cycles, tol):
-    """Dykstra projection onto {rho >= 0} n {rho^Gamma >= 0} n {tr = 1}."""
-    d = arr.shape[0]
-    projections = (
-        _psd_clip,
-        lambda m: _pt2(_psd_clip(_pt2(m, dims)), dims),
-        lambda m: m + ((1.0 - m.trace().real) / d) * np.eye(d),
-    )
-    x = (arr + arr.conj().T) / 2.0
-    corrections = [np.zeros_like(x) for _ in projections]
-    for _ in range(max_cycles):
-        shift = 0.0
-        for i, proj in enumerate(projections):
-            y = proj(x + corrections[i])
-            corrections[i] = x + corrections[i] - y
-            shift = max(shift, float(np.abs(y - x).max()))
-            x = y
-        if shift <= tol:
-            break
-    return x
 
 
 def decomposition_search(W, residual_tol=1e-7, max_iters=20000):
@@ -797,16 +781,21 @@ def decomposition_search(W, residual_tol=1e-7, max_iters=20000):
 
 
 def ppt_violation_search(W, cfg=None):
-    """Minimize tr(W rho) over PPT states by reading the Moreau split.
+    """Split W once and read both outcomes: W = P + Q^Gamma, or a PPT
+    state with negative expectation.
 
     With Z = W - P - Q^Gamma from ``decomposition_search`` at
     residual_tol = cfg.tol_zero, -Z lies in the PPT cone and
-    <W, Z> = ||Z||^2 at the limit, so rho = -Z / tr(-Z) is a PPT state
-    with tr(W rho) = -||Z||^2 / tr(-Z) < 0.  The state is cleaned by a
-    Dykstra projection onto the PPT body and certified only if it is
-    PPT to 1e-8 with unit trace and tr(W rho) < -tol_zero.  A
-    successful decomposition proves that no violation exists; PSD W is
-    answered by its lowest eigenvalue without a split.
+    <W, Z> = ||Z||^2 at the limit, so rho0 = -Z / tr(-Z) is a PPT state
+    with tr(W rho0) = -||Z||^2 / tr(-Z) < 0.  The iterate is PPT only up
+    to the split's accuracy, so rho0 is mixed with the maximally mixed
+    state in closed form: with eps = max(0, -lambda_min(rho0),
+    -lambda_min(rho0^Gamma)) and I^Gamma = I, rho = (rho0 + eps I) /
+    (1 + eps d) is PSD, PPT and unit-trace.  It is certified only if it
+    is PPT to 1e-8 with unit trace, tr(W rho) < -tol_zero and the split
+    did not decompose.  A successful decomposition proves that no
+    violation exists; PSD W needs no violation search, its
+    ``best_value`` is its lowest eigenvalue.
     """
     cfg = cfg or OptimizerConfig()
     if len(W.dims) != 2:
@@ -814,17 +803,23 @@ def ppt_violation_search(W, cfg=None):
     dims = W.dims
     w = W.entries
     lam = float(np.linalg.eigvalsh(w)[0])
+    dec = decomposition_search(W, residual_tol=cfg.tol_zero)
     if lam >= -cfg.tol_zero:
         # tr(W rho) >= lambda_min >= -tol_zero for every state: no violation
-        return PPTSearchResult(None, lam, True, 0)
-    dec = decomposition_search(W, residual_tol=cfg.tol_zero)
+        return PPTSearchResult(None, lam, True, 0, dec)
     neg_z = dec.P.entries + _pt2(dec.Q.entries, dims) - w
     # every iterate has Z^Gamma <= 0, so tr(-Z) >= ||Z||_F: the trace
     # vanishes only on a split that ends exactly at Z = 0
     mass = float(neg_z.trace().real)
     if mass <= 0.0:
-        return PPTSearchResult(None, 0.0, dec.success, 1)
-    final = _project_ppt_body(neg_z / mass, dims, max_cycles=300, tol=1e-13)
+        return PPTSearchResult(None, 0.0, dec.success, 1, dec)
+    rho0 = (neg_z + neg_z.conj().T) / (2.0 * mass)
+    eps = max(
+        0.0,
+        -float(np.linalg.eigvalsh(rho0)[0]),
+        -float(np.linalg.eigvalsh(_pt2(rho0, dims))[0]),
+    )
+    final = (rho0 + eps * np.eye(W.side)) / (1.0 + eps * W.side)
     value = float((w @ final).trace().real)
     violation = None
     if not dec.success:
@@ -838,9 +833,6 @@ def ppt_violation_search(W, cfg=None):
             and tr_gap <= 1e-10
         ):
             violation = PPTViolation(HermitianOperator(dims, final), value)
-    return PPTSearchResult(violation, value, dec.success or violation is not None, 1)
-
-
-def find_ppt_violation(W, cfg=None):
-    """PPTViolation if the search certifies one, else None (inconclusive)."""
-    return ppt_violation_search(W, cfg).violation
+    return PPTSearchResult(
+        violation, value, dec.success or violation is not None, 1, dec
+    )

@@ -40,9 +40,9 @@ from witnesskit.operators import (
 from witnesskit.optimize import (
     OptimizerConfig,
     decomposition_search,
-    find_ppt_violation,
     grid_oracle_minprod,
     min_product_expectation,
+    ppt_violation_search,
 )
 from witnesskit.sampling import (
     random_hermitian,
@@ -236,7 +236,7 @@ def test_criterion_7_separable_shift_window():
 def test_criterion_8_ppt_violation_certificate():
     t0 = time.perf_counter()
     W = w_xyz(1.0, 1.0, 0.0).operator
-    violation = find_ppt_violation(W, CFG64)
+    violation = ppt_violation_search(W, CFG64).violation
     assert violation is not None
     assert violation.value < -1e-4
     rho = violation.state

@@ -2,12 +2,19 @@
 and determinism, driven through ``cli.main`` in process."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from witnesskit import cli, families
-from witnesskit.families import choi_sigma, sigma1, two_block_witness
+from witnesskit import cli, families, lift, optimize
+from witnesskit.families import (
+    bell_state_witness,
+    choi_sigma,
+    sigma1,
+    two_block_witness,
+    w_xyz,
+)
 from witnesskit.operators import operator_from_json, operator_to_json
 
 
@@ -95,6 +102,17 @@ def test_classify_non_finite_entry_exit_one(tmp_path, capsys):
     assert code == cli.EXIT_ERROR
     assert report["status"] == "error"
     assert "NonFiniteError" in report["error"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_classify_rejects_non_finite_tolerance(tmp_path, capsys, tol):
+    # lambda_min = -0.125: a NaN or infinite zero threshold would call
+    # this witness PSD
+    path = _write_operator(tmp_path, "bw.json", bell_state_witness())
+    code, report = _run(capsys, ["classify", path, "--tol-zero", tol])
+    assert code == cli.EXIT_ERROR
+    assert report["status"] == "error"
+    assert "finite" in report["error"]
 
 
 def test_unexpected_failure_reaches_json_error(tmp_path, capsys, monkeypatch):
@@ -208,6 +226,36 @@ def test_lift_state_rejects_bad_weights(tmp_path, capsys):
     assert "positive" in report["error"]
 
 
+@pytest.mark.parametrize(
+    "mode, flags",
+    [
+        ("state", ["--alpha", "nan"]),
+        ("state", ["--beta", "nan"]),
+        ("state", ["--gamma", "inf"]),
+        ("state", ["--constant", "nan"]),
+        ("state", ["--constant", "inf"]),
+        ("witness", ["--constant", "nan"]),
+    ],
+)
+def test_lift_rejects_non_finite_scalars(tmp_path, capsys, monkeypatch, mode, flags):
+    from witnesskit.operators import HermitianOperator
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("operator_norm reached with a non-finite scalar")
+
+    # the scalars are refused before the lift's ARPACK norm runs
+    monkeypatch.setattr(lift, "operator_norm", no_norm)
+    if mode == "witness":
+        source = bell_state_witness()
+    else:
+        source = HermitianOperator((1, 2), np.eye(2) / 2.0)
+    path = _write_operator(tmp_path, "src.json", source)
+    code, report = _run(capsys, ["lift", path, "--mode", mode, *flags])
+    assert code == cli.EXIT_ERROR
+    assert report["status"] == "error"
+    assert "ValueError" in report["error"] and "finite" in report["error"]
+
+
 def test_lift_state_rejects_oversize(tmp_path, capsys):
     from witnesskit.operators import HermitianOperator
 
@@ -274,6 +322,35 @@ def test_decompose_two_block(tmp_path, capsys):
     assert report["results"]["ppt_search"]["violation_found"] is False
     P = np.asarray(dec["P"]["re"])
     assert np.linalg.eigvalsh(P)[0] >= -1e-8
+
+
+@pytest.mark.parametrize(
+    "op, decomposes",
+    [(two_block_witness(1.0, 1.0), True), (w_xyz(1.0, 1.0, 0.0).operator, False)],
+)
+def test_decompose_runs_one_split(tmp_path, capsys, monkeypatch, op, decomposes):
+    original = optimize.decomposition_search
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # ``from .optimize import`` copies the function: patch every copy
+    for name, module in list(sys.modules.items()):
+        if name == "witnesskit" or name.startswith("witnesskit."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    path = _write_operator(tmp_path, "w.json", op)
+    code, report = _run(capsys, ["decompose", path])
+    assert code == cli.EXIT_OK
+    assert report["status"] == "pass"
+    res = report["results"]
+    assert res["decomposition"]["success"] is decomposes
+    assert res["ppt_search"]["violation_found"] is not decomposes
+    assert res["decomposition"]["residual"]["tolerance"] == 1e-7
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

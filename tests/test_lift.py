@@ -150,6 +150,9 @@ def test_lift_witness_constant_override_and_guard():
     assert lifted.constant == 0.05
     with pytest.raises(ValueError):
         lift_witness(W, C=0.001, cfg=CFG)  # below the symmetric-part norm
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            lift_witness(W, C=bad, cfg=CFG)
 
 
 def test_lift_inherits_touching_vector():
@@ -183,6 +186,13 @@ def test_lift_state_validates_inputs():
         lift_state(rho, 1.0, -1.0, 1.0, cfg=CFG)
     with pytest.raises(ValueError):
         lift_state(rho, 1.0, 1.0, 0.0, cfg=CFG)
+    nan, inf = float("nan"), float("inf")
+    for weights in ((nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, nan), (inf, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            lift_state(rho, *weights, cfg=CFG)
+    for bad in (nan, inf):
+        with pytest.raises(ValueError, match="finite"):
+            lift_state(rho, 1.0, 1.0, 1.0, C=bad, cfg=CFG)
     # diagonal floor cap: gamma may not exceed beta * s^2
     with pytest.raises(ValueError):
         lift_state(rho, 1.0, 1.0, 17.0, cfg=CFG)
@@ -315,14 +325,15 @@ def test_penalty_constant_regimes():
 
 def test_lifted_witness_invariant_guard():
     base = lift_witness(bell_state_witness(), cfg=CFG)
-    with pytest.raises(ValueError):
-        LiftedWitness(
-            operator=base.operator,
-            symmetric_part=base.symmetric_part,
-            asym_projector=base.asym_projector,
-            constant=base.y_norm / 2.0,
-            y_norm=base.y_norm,
-            space=base.space,
-            source_kind="witness",
-            source=base.source,
-        )
+    for constant in (base.y_norm / 2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            LiftedWitness(
+                operator=base.operator,
+                symmetric_part=base.symmetric_part,
+                asym_projector=base.asym_projector,
+                constant=constant,
+                y_norm=base.y_norm,
+                space=base.space,
+                source_kind="witness",
+                source=base.source,
+            )

@@ -5,7 +5,7 @@ decomposition splitter."""
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from witnesskit import optimize
@@ -33,7 +33,6 @@ from witnesskit.optimize import (
     _SplitKernel,
     collect_zero_products,
     decomposition_search,
-    find_ppt_violation,
     grid_oracle_minprod,
     max_product_expectation,
     min_product_expectation,
@@ -65,6 +64,11 @@ def test_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(tol_zero=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            OptimizerConfig(tol_zero=bad)
+        with pytest.raises(ValueError):
+            OptimizerConfig(tol_converge=bad)
     with pytest.raises(ValueError):
         OptimizerConfig(max_sweeps=0)
 
@@ -509,13 +513,26 @@ def test_ppt_search_short_circuits_on_psd_input():
     assert res.violation is None
     assert res.starts_used == 0
     assert res.best_value == pytest.approx(1.0, abs=1e-9)
+    assert res.decomposition.success
 
 
-def test_find_ppt_violation_wrapper():
-    W = w_xyz(1.0, 1.0, 0.0).operator
-    v = find_ppt_violation(W, OptimizerConfig(restarts=8, seed=0))
-    assert v is not None and v.value < -1e-4
-    assert find_ppt_violation(choi_sigma(), OptimizerConfig(restarts=2, seed=0)) is None
+def test_ppt_search_mixes_an_unfinished_split_into_a_certificate():
+    # this draw's split stops at its iteration cap, where -Z / tr(-Z) is
+    # PSD only to about 2e-7; mixing in the identity still certifies it
+    X = random_hermitian(rng_for(2328222968), (2, 3))
+    W = X.shifted(float(np.linalg.eigvalsh(X.entries)[0]) + 0.2754700329103396)
+    res = ppt_violation_search(W)
+    dec = res.decomposition
+    assert not dec.success
+    neg_z = dec.P.entries + partial_transpose(dec.Q).entries - W.entries
+    assert np.linalg.eigvalsh(neg_z)[0] < -1e-7 * neg_z.trace().real
+    rho = res.violation.state
+    assert abs(rho.trace() - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(rho.entries)[0] >= -1e-12
+    assert np.linalg.eigvalsh(partial_transpose(rho).entries)[0] >= -1e-12
+    value = float((W.entries @ rho.entries).trace().real)
+    assert value == pytest.approx(res.violation.value, abs=1e-12)
+    assert value < -1e-3
 
 
 def test_decomposition_succeeds_on_decomposable_witness():
@@ -553,9 +570,9 @@ def test_decomposition_trivial_on_psd_input():
     ],
 )
 def test_split_verdicts_on_wxyz(xyz, decomposes):
-    W = w_xyz(*xyz).operator
-    assert decomposition_search(W).success is decomposes
-    assert (find_ppt_violation(W) is None) is decomposes
+    res = ppt_violation_search(w_xyz(*xyz).operator)
+    assert res.decomposition.success is decomposes
+    assert (res.violation is None) is decomposes
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
@@ -564,13 +581,16 @@ def test_split_verdicts_on_wxyz(xyz, decomposes):
     dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
     depth=st.floats(0.01, 1.0),
 )
+# hard draws: violations found after 9,986 and 5,475 split iterations
+@example(seed=1610, dims=(3, 3), depth=0.859628127657393)
+@example(seed=1487, dims=(3, 3), depth=0.7913346578276198)
 def test_split_outcomes_are_certificates(seed, dims, depth):
     X = random_hermitian(rng_for(seed), dims)
     # shift so that lambda_min(W) = -depth
     W = X.shifted(float(np.linalg.eigvalsh(X.entries)[0]) + depth)
     cfg = OptimizerConfig()
-    dec = decomposition_search(W, residual_tol=cfg.tol_zero)
-    violation = find_ppt_violation(W, cfg)
+    res = ppt_violation_search(W, cfg)
+    dec, violation = res.decomposition, res.violation
     assert not (dec.success and violation is not None)
     if dec.success:
         assert np.linalg.eigvalsh(dec.P.entries)[0] >= -1e-9
