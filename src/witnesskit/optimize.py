@@ -27,11 +27,19 @@ lowest eigenvalue alone rather than a full ``eigh`` (about 3x cheaper
 at 256 dims).  Halves of ``_KRYLOV_MIN_SIDE`` (128) dims and up first
 try a capped ARPACK Lanczos run started from the previous iterate,
 which sits next to the answer, so it converges in a few matvecs when
-the spectral gap is wide (the 256-dim state-lift probe: 7 matvecs, a
-third of the zheevr cost).  Its answer is certified, or replaced by
-``zheevr``: the residual must be at most 1e-9 (1 + |lambda|), and a
-Cholesky factorization of the matrix shifted down to just below lambda
-must succeed, which proves that no lower eigenvalue exists.
+the spectral gap is wide (the 256-dim state-lift probe: 7 matvecs).
+Its answer is certified, or replaced by ``zheevr``: the residual must
+be at most delta = 1e-9 (1 + |lambda|), which puts an eigenvalue within
+delta of lambda, and that eigenvalue must be proven the lowest.  Each
+row carries, per half, a proven lower bound on the second eigenvalue
+of the matrix it last solved: ``zheevr`` seeds it with lambda_2 on the
+row's first half-step, and by Weyl's inequality every later half-step
+lowers it by ||M - M_prev||_F.  While lambda + delta lies below that
+bound, the eigenvalue near lambda can only be lambda_1 (the 256-dim
+probe: 158 of a restart's 160 half-steps).  Otherwise a Cholesky
+factorization of the matrix shifted down to lambda - delta must
+succeed, which proves that no lower eigenvalue exists; failing both,
+``zheevr`` solves the half-step and reseeds the bound.
 
 Also here: an epsilon-net oracle that cross-checks the see-saw (a net
 over the smaller factor, an exact eigensolve on the other), and one
@@ -349,8 +357,11 @@ def _heevr_workspace(n):
     return int(work.real), int(rwork), int(iwork)
 
 
-_ZHEMV, _ZNRM2, _ZDOTC = get_blas_funcs(("hemv", "nrm2", "dotc"), dtype=np.complex128)
+_ZHEMV, _ZNRM2, _ZDOTC, _ZCOPY, _ZAXPY = get_blas_funcs(
+    ("hemv", "nrm2", "dotc", "copy", "axpy"), dtype=np.complex128
+)
 _POTRF = get_lapack_funcs("potrf", dtype=np.complex128)
+_EPS = np.finfo(np.float64).eps
 
 # Halves from this side up try the warm-started Krylov solve first.  On a
 # matrix whose ground gap is half its spread, from a start 1e-2 off the
@@ -366,21 +377,53 @@ _KRYLOV_NCV = 6
 _KRYLOV_MAXITER = 20
 
 
-def _krylov_ground_pair(M, start):
+def _gap_slack(n):
+    """Rounding allowance of the carried gap bound at side n, relative to
+    a Frobenius norm: 4 n^2 eps covers the rounding of ||M - M_prev||_F
+    (a sum of 2 n^2 squares), zheevr's backward error in lambda_2, and
+    the gap between the Hermitian part (M + M^H) / 2, which the bound
+    follows, and the upper triangle that the eigensolvers read: at most
+    ||M - M^H||_F / 2, which the kernel's GEMMs keep near 3e-18 ||M||_F
+    on the 256-dim probe (measured), against 5.8e-11 here."""
+    return 4.0 * n * n * _EPS
+
+
+class _GapBound:
+    """What a see-saw row carries from one half-step of a half to the next.
+
+    ``floor`` is a proven lower bound on lambda_2 of the Hermitian part
+    of ``prev``, the conditioned matrix the row solved last (-inf before
+    the first solve); ``diff`` is the reused buffer for M - prev.  ``prev``
+    is held, not copied: the caller must not change it afterwards.
+    """
+
+    __slots__ = ("prev", "floor", "diff")
+
+    def __init__(self):
+        self.prev = self.diff = None
+        self.floor = -math.inf
+
+
+def _krylov_ground_pair(M, start, floor=-math.inf):
     """Ground pair of M by ARPACK from ``start``, or None if uncertified.
 
     An answer (lam, x), with lam the Rayleigh quotient of the unit x, is
-    returned only if ||Mx - lam x|| <= delta and M - (lam - delta) I has
-    a Cholesky factor, with delta = 1e-9 (1 + |lam|), the see-saw's own
-    monotonicity slack.  The residual puts an eigenvalue within delta of
-    lam, and the factor proves that none lies below lam - delta, so lam
-    is the lowest eigenvalue to within delta and x lies in the ground
-    space unless another eigenvalue is within delta of it.  An excited
-    pair that Lanczos reached from a start with no ground-state
-    component fails the factorization.  The upper triangle of the
-    C-ordered M is read, as ``zheevr`` does: the Fortran view M.T holds
-    it as its lower triangle, so BLAS and LAPACK work on conj(M), which
-    has the same spectrum and conjugate eigenvectors, without a copy.
+    returned only if ||Mx - lam x|| <= delta, with delta = 1e-9
+    (1 + |lam|) the see-saw's own monotonicity slack, and no eigenvalue
+    lies below lam - delta.  The residual puts an eigenvalue within
+    delta of lam.  ``floor`` is a proven lower bound on lambda_2 of the
+    Hermitian part of M: when lam + delta lies below it, less
+    ``_gap_slack``, that eigenvalue is lambda_1 with no further work,
+    and x lies within angle delta / (floor - lam) of the ground vector.
+    Otherwise M - (lam - delta) I must have a Cholesky factor, which
+    proves that no eigenvalue lies below lam - delta; x then lies in the
+    ground space unless another eigenvalue is within delta of lam.  An
+    excited pair that Lanczos reached from a start with no ground-state
+    component fails both tests: it lies at or above lambda_2.  The upper
+    triangle of the C-ordered M is read, as ``zheevr`` does: the Fortran
+    view M.T holds it as its lower triangle, so BLAS and LAPACK work on
+    conj(M), which has the same spectrum and conjugate eigenvectors,
+    without a copy.
     """
     n = M.shape[0]
     A = M.T
@@ -388,7 +431,8 @@ def _krylov_ground_pair(M, start):
     # test a ground eigenvalue of 0 (a witness's product zero) never
     # passes.  Shifted by 2 ||M||_F, the ground Ritz value lies in
     # [||M||_F, 3 ||M||_F] and the Krylov space is unchanged.
-    shift = 2.0 * _ZNRM2(M.reshape(-1))
+    norm = _ZNRM2(M.reshape(-1))
+    shift = 2.0 * norm
     op = LinearOperator(
         (n, n),
         matvec=lambda y: _ZHEMV(1.0, A, y, beta=shift, y=y, lower=1),
@@ -407,6 +451,8 @@ def _krylov_ground_pair(M, start):
     delta = 1e-9 * (1.0 + abs(lam))
     if _ZNRM2(Ay - lam * y) > delta:
         return None
+    if lam + delta < floor - _gap_slack(n) * norm:
+        return lam, y.conj()
     shifted = A.copy(order="F")
     shifted.flat[:: n + 1] -= lam - delta
     _, info = _POTRF(shifted, lower=1, overwrite_a=1, clean=0)
@@ -415,30 +461,56 @@ def _krylov_ground_pair(M, start):
     return lam, y.conj()
 
 
-def _ground_pair(M, start=None):
+def _lowest_pairs(M, count):
+    """The ``count`` lowest eigenvalues and unit eigenvectors (as columns)
+    of the Hermitian matrix held in M's upper triangle, by LAPACK
+    ``zheevr``."""
+    lwork, lrwork, liwork = _heevr_workspace(M.shape[0])
+    vals, vecs, _, _, info = _HEEVR(
+        M, range="I", il=1, iu=count, lwork=lwork, lrwork=lrwork, liwork=liwork
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zheevr failed (info={info})")
+    return vals, vecs
+
+
+def _ground_pair(M, start=None, bound=None):
     """Lowest eigenvalue and a unit eigenvector of a complex Hermitian M.
 
     The see-saw calls it row by row for halves larger than
     ``_STACKED_EIGH_MAX_SIDE``; smaller ones are solved as a stack by
     ``_ground_pairs``.  The raw LAPACK call, not ``scipy.linalg.eigh``,
     keeps the per-call overhead low.  Only the upper triangle of M is
-    read.  For sides of at least
-    ``_KRYLOV_MIN_SIDE`` with a ``start`` vector near the answer (the
-    see-saw passes the previous iterate), a capped ARPACK run is tried
-    first and kept only when ``_krylov_ground_pair`` certifies it;
-    otherwise, and for every smaller side, LAPACK ``zheevr`` computes
-    the pair.
+    read.  Without a ``bound``, and for sides below
+    ``_KRYLOV_MIN_SIDE``, LAPACK ``zheevr`` computes the pair.
+
+    From that side up, the see-saw passes the row's ``_GapBound`` for
+    this half, with ``start`` the vector the solve replaces.  The bound's
+    floor first drops by ||M - prev||_F: the Hermitian parts of M and
+    prev differ by at most that much in operator norm, so by Weyl's
+    inequality it still bounds lambda_2 of M's Hermitian part.  A capped
+    ARPACK run is then kept if ``_krylov_ground_pair`` certifies it, by
+    that floor or else by a Cholesky factorization.  Otherwise, and on a
+    bound's first solve, ``zheevr`` computes lambda_1 and lambda_2 and
+    reseeds the floor at lambda_2 less its rounding allowance.  M is
+    kept as the bound's new ``prev``.
     """
-    if start is not None and M.shape[0] >= _KRYLOV_MIN_SIDE:
-        pair = _krylov_ground_pair(M, start)
+    n = M.shape[0]
+    if bound is None or n < _KRYLOV_MIN_SIDE:
+        vals, vecs = _lowest_pairs(M, 1)
+        return float(vals[0]), vecs[:, 0]
+    prev, bound.prev = bound.prev, M
+    if prev is not None:
+        if bound.diff is None:
+            bound.diff = np.empty(M.size, dtype=np.complex128)
+        diff = _ZCOPY(M.reshape(-1), bound.diff)
+        diff = _ZAXPY(prev.reshape(-1), diff, a=-1.0)
+        bound.floor -= (1.0 + _gap_slack(n)) * math.sqrt(_ZDOTC(diff, diff).real)
+        pair = _krylov_ground_pair(M, start, bound.floor)
         if pair is not None:
             return pair
-    lwork, lrwork, liwork = _heevr_workspace(M.shape[0])
-    vals, vecs, _, _, info = _HEEVR(
-        M, range="I", il=1, iu=1, lwork=lwork, lrwork=lrwork, liwork=liwork
-    )
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zheevr failed (info={info})")
+    vals, vecs = _lowest_pairs(M, 2)
+    bound.floor = float(vals[1]) - _gap_slack(n) * _ZNRM2(M.reshape(-1))
     return float(vals[0]), vecs[:, 0]
 
 
@@ -455,7 +527,7 @@ _STACKED_EIGH_MAX_SIDE = 8
 _STACK_ENTRIES = 1 << 16
 
 
-def _ground_pairs(M, starts):
+def _ground_pairs(M, starts, bounds):
     """Ground pairs of a stack M ``(n, d, d)``: values ``(n,)`` and unit
     vectors as rows ``(n, d)``.  Only upper triangles are read.
 
@@ -467,15 +539,15 @@ def _ground_pairs(M, starts):
     cores, the tasks of a ``seesaw-small`` pass took 1.1 s, against
     4.2 to 4.6 s for the per-restart loop this replaced.  Larger sides
     solve row by row with ``_ground_pair``, each warm-started from its
-    row of ``starts``.
+    row of ``starts`` and carrying its row's ``_GapBound`` of ``bounds``.
     """
     if M.shape[-1] <= _STACKED_EIGH_MAX_SIDE:
         vals, vecs = np.linalg.eigh(M, UPLO="U")
         return vals[:, 0], vecs[:, :, 0]
     lams = np.empty(len(M))
     vecs = np.empty_like(starts)
-    for i, (m, start) in enumerate(zip(M, starts)):
-        lams[i], vecs[i] = _ground_pair(m, start)
+    for i, (m, start, bound) in enumerate(zip(M, starts, bounds)):
+        lams[i], vecs[i] = _ground_pair(m, start, bound)
     return lams, vecs
 
 
@@ -484,7 +556,9 @@ def _seesaw_rows(kernel, cfg, indices):
 
     Each half-step solves every active row at once.  A row keeps its
     own checks: the monotonicity guard, the sweep tolerance and the
-    ``max_sweeps`` cap; it leaves the stack once it converges.
+    ``max_sweeps`` cap; it leaves the stack once it converges.  When
+    either half has ``_KRYLOV_MIN_SIDE`` dims or more, a row carries one
+    ``_GapBound`` per half (a smaller half never reads its own).
     """
     idx = np.array(indices)
     U = np.empty((idx.size, kernel.d_a), dtype=np.complex128)
@@ -493,16 +567,22 @@ def _seesaw_rows(kernel, cfg, indices):
         rng = rng_for(cfg.seed, k)
         U[i] = random_unit_vector(rng, kernel.d_a)
         V[i] = random_unit_vector(rng, kernel.d_b)
-    value = np.einsum("ni,nij,nj->n", V.conj(), kernel.cond_a(U), V).real
+    M = kernel.cond_a(U)  # also the first A half-step's stack
+    value = np.einsum("ni,nij,nj->n", V.conj(), M, V).real
+    bounds = np.empty((idx.size, 2), dtype=object)  # None: no bound
+    if max(kernel.d_a, kernel.d_b) >= _KRYLOV_MIN_SIDE:
+        bounds.flat = [_GapBound() for _ in range(bounds.size)]
     prev_sweep = value
     runs = []
-    for _ in range(cfg.max_sweeps):
+    for sweep in range(cfg.max_sweeps):
         for half in ("A", "B"):
             # each solve starts from the vector it replaces
             if half == "A":
-                lam, V = _ground_pairs(kernel.cond_a(U), V)
+                if sweep:
+                    M = kernel.cond_a(U)
+                lam, V = _ground_pairs(M, V, bounds[:, 0])
             else:
-                lam, U = _ground_pairs(kernel.cond_b(V), U)
+                lam, U = _ground_pairs(kernel.cond_b(V), U, bounds[:, 1])
             if np.any(lam > value + 1e-9 * (1.0 + np.abs(value))):
                 raise RuntimeError(
                     "see-saw objective increased; conditioned matrix is inconsistent"
@@ -516,6 +596,7 @@ def _seesaw_rows(kernel, cfg, indices):
             ]
             active = ~done
             U, V, value, idx = U[active], V[active], value[active], idx[active]
+            bounds = bounds[active]
             if not idx.size:
                 break
         prev_sweep = value

@@ -2,6 +2,8 @@
 collection, the grid cross-check, PPT violation search, and the
 decomposition splitter."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -164,17 +166,31 @@ def _spectral_matrix(rng, evals):
     return (Q * np.asarray(evals)) @ Q.conj().T, Q
 
 
+def _counted(counts, name, routine):
+    """``routine``, counting its calls in counts[name]."""
+
+    def call(*args, **kwargs):
+        counts[name] += 1
+        return routine(*args, **kwargs)
+
+    return call
+
+
 def test_krylov_half_steps_match_zheevr_on_state_lift_probe(monkeypatch):
     # restart 0 of the registry's state-lift probe at seed 0: every
-    # half-step must be certified and agree with zheevr
+    # half-step must agree with zheevr; each half's first solve seeds its
+    # gap bound with zheevr, and the bound certifies all the others, so
+    # no Cholesky factor is computed
     rho = HermitianOperator((2, 2), np.eye(4) / 4.0)
     lifted = lift_state(rho, 1.0, 1.0, 1.0, cfg=OptimizerConfig(seed=0))
     cfg = OptimizerConfig(restarts=1, seed=0, max_sweeps=80)
     checked = []
+    lapack = {"heevr": 0, "potrf": 0}
+    ground_pair = optimize._ground_pair
 
-    def compare(M, start=None):
+    def compare(M, start=None, bound=None):
         assert start is not None
-        pair = _krylov_ground_pair(M, start)
+        pair = ground_pair(M, start, bound)
         assert pair is not None
         lam, vec = pair
         vals, vecs = scipy.linalg.eigh(M, lower=False, subset_by_index=(0, 1), driver="evr")
@@ -182,21 +198,34 @@ def test_krylov_half_steps_match_zheevr_on_state_lift_probe(monkeypatch):
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
         if vals[1] - vals[0] > 1e-9 * (1.0 + abs(lam)):
             assert abs(np.vdot(vecs[:, 0], vec)) >= 1.0 - 1e-10
+        assert bound.prev is M and bound.floor <= vals[1]
         checked.append(lam)
         return pair
 
     monkeypatch.setattr(optimize, "_ground_pair", compare)
+    monkeypatch.setattr(optimize, "_HEEVR", _counted(lapack, "heevr", optimize._HEEVR))
+    monkeypatch.setattr(optimize, "_POTRF", _counted(lapack, "potrf", optimize._POTRF))
     (run,) = optimize._seesaw_all(lifted.operator, cfg, (256, 256))
     # the probe's restarts all run to the 80-sweep cap
     assert len(checked) == 2 * cfg.max_sweeps
     assert run.value == checked[-1]
+    assert lapack == {"heevr": 2, "potrf": 0}
+    assert len(checked) - lapack["heevr"] - lapack["potrf"] == 158
+
+
+def _bound_at(M, floor):
+    """A gap bound that last solved M and holds ``floor`` for it."""
+    bound = optimize._GapBound()
+    bound.prev, bound.floor = M, floor
+    return bound
 
 
 def test_krylov_rejects_excited_pair_from_wrong_block():
     # block-diagonal M whose ground state lives in the first block; a
     # start inside the second block keeps Lanczos there, where it
     # converges to that block's lowest pair (an excited pair of M) with
-    # a tiny residual.  Only the Cholesky certificate can reject it.
+    # a tiny residual.  Neither the Cholesky certificate nor a valid gap
+    # bound (the true lambda_2 of M) may accept it.
     rng = rng_for(61)
     ground, _ = _spectral_matrix(rng, np.linspace(0.0, 0.5, 128))
     excited, Q = _spectral_matrix(rng, np.concatenate([[1.0], np.linspace(2.0, 3.0, 127)]))
@@ -206,11 +235,20 @@ def test_krylov_rejects_excited_pair_from_wrong_block():
     start[128:] = Q[:, 0] + 1e-3 * random_unit_vector(rng, 128)
     start /= np.linalg.norm(start)
     assert _krylov_ground_pair(M, start) is None
+    lam2 = np.linalg.eigvalsh(M)[1]
+    assert _krylov_ground_pair(M, start, lam2) is None
     lam, vec = _ground_pair(M, start)
     ref_lam, ref_vec = _ground_pair(M)
     assert lam == ref_lam
     np.testing.assert_array_equal(vec, ref_vec)
     assert lam == pytest.approx(0.0, abs=1e-12)
+    # the carried-bound path refuses it too and falls back to zheevr
+    bound = _bound_at(M.copy(), lam2)
+    lam, vec = _ground_pair(M, start, bound)
+    ref_lam, ref_vec = optimize._lowest_pairs(M, 2)
+    assert lam == ref_lam[0]
+    np.testing.assert_array_equal(vec, ref_vec[:, 0])
+    assert bound.prev is M and bound.floor <= ref_lam[1]
 
 
 def test_krylov_falls_back_on_small_gap():
@@ -221,6 +259,11 @@ def test_krylov_falls_back_on_small_gap():
     ref_lam, ref_vec = _ground_pair(M)
     assert lam == ref_lam
     np.testing.assert_array_equal(vec, ref_vec)
+    # with a carried bound the failed try falls back to zheevr as well
+    lam, vec = _ground_pair(M, start, _bound_at(M.copy(), -np.inf))
+    ref_lam, ref_vec = optimize._lowest_pairs(M, 2)
+    assert lam == ref_lam[0]
+    np.testing.assert_array_equal(vec, ref_vec[:, 0])
 
 
 def test_krylov_degenerate_ground_space():
@@ -235,6 +278,45 @@ def test_krylov_degenerate_ground_space():
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
     # any unit vector of the ground space is a valid answer
     assert np.linalg.norm(Q[:, :3].conj().T @ vec) >= 1.0 - 1e-10
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gap=st.floats(0.02, 0.5),
+    drift=st.floats(0.0, 2.0),
+    steps=st.integers(2, 8),
+)
+@example(seed=7, gap=0.3, drift=2.0, steps=8)  # crosses the gap: 4 Cholesky factors
+def test_carried_gap_bound_stays_below_lambda_2(seed, gap, drift, steps):
+    # M_{t+1} = M_t + eps E_t with ||E_t||_F = 1 and a total drift of
+    # drift * gap, solved at side 128 by one carried bound, each solve
+    # started from the previous answer
+    rng = rng_for(seed)
+    n = 128
+    M, _ = _spectral_matrix(rng, np.concatenate([[0.0], gap + np.linspace(0.0, 1.0, n - 1)]))
+    bound, start, total = optimize._GapBound(), None, 0.0
+    lapack = {"heevr": 0, "potrf": 0}
+    with mock.patch.object(optimize, "_HEEVR", _counted(lapack, "heevr", optimize._HEEVR)), \
+            mock.patch.object(optimize, "_POTRF", _counted(lapack, "potrf", optimize._POTRF)):
+        for t in range(steps):
+            if t:
+                E = random_hermitian(rng, (n,)).entries
+                step = drift * gap / (steps - 1) * E / np.linalg.norm(E)
+                total += np.linalg.norm(step)
+                M = M + step
+            lam, vec = _ground_pair(M, start, bound)
+            start = vec
+            ref = scipy.linalg.eigh(M, lower=False, eigvals_only=True, subset_by_index=(0, 1), driver="evr")
+            assert abs(lam - ref[0]) <= 1e-9 * (1.0 + abs(lam))
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+            assert bound.floor <= np.linalg.eigvalsh(M)[1]
+    # the first solve seeds the bound at lambda_2 = gap; once the drift
+    # has used up that gap the bound cannot certify the last step, so a
+    # Cholesky factor or a reseeding zheevr must have been computed
+    assert lapack["heevr"] >= 1
+    if total >= gap - ref[0]:
+        assert lapack["heevr"] + lapack["potrf"] > 1
 
 
 def test_structured_conditioned_matrices_match_dense():
@@ -334,8 +416,8 @@ def test_seesaw_guard_catches_one_rising_row(monkeypatch):
     ground_pairs = optimize._ground_pairs
     calls = []
 
-    def rising(M, starts):
-        lam, vecs = ground_pairs(M, starts)
+    def rising(M, starts, bounds):
+        lam, vecs = ground_pairs(M, starts, bounds)
         calls.append(None)
         lam = lam.copy()
         lam[-1] += 1e-6 * len(calls)
@@ -389,6 +471,24 @@ def test_state_lift_split_rows_merge():
                 (kernel.cond_b(v), sum(k.cond_b(v) for k in singles)),
             ):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_state_lift_conditioned_matrices_are_hermitian_within_gap_slack():
+    # the carried gap bound follows the Hermitian part of each conditioned
+    # matrix while the eigensolvers read its upper triangle; the two
+    # differ by at most ||M - M^H||_F / 2, which must stay far inside the
+    # bound's rounding allowance
+    rng = rng_for(56)
+    sources = [
+        (HermitianOperator((2, 2), np.eye(4) / 4.0), (1.0, 1.0, 1.0)),  # the probe
+        (random_density(rng, (2, 2)), (1.0, 2.0, 0.5)),
+    ]
+    for rho, weights in sources:
+        kernel = _SplitKernel(lift_state(rho, *weights).operator, dims=(256, 256))
+        for w in (random_unit_vector(rng, 256) for _ in range(2)):
+            for M in (kernel.cond_a(w), kernel.cond_b(w)):
+                skew = np.linalg.norm(M - M.conj().T)
+                assert skew <= 1e-3 * optimize._gap_slack(256) * np.linalg.norm(M)
 
 
 def test_structured_kernel_rejects_straddling_terms():
