@@ -380,7 +380,7 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--constant", type=float, default=None, help="override the penalty constant")
+    p.add_argument("--constant", type=float, default=None, help="override the penalty constant C (C >= 2 ||Y||, Y the symmetric part)")
     p.add_argument("--dump-dense", action="store_true", help=f"include the dense matrix (dim <= {DENSE_SIDE_CAP})")
     _add_common(p)
     p.set_defaults(func=cmd_lift)

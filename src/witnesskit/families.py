@@ -558,14 +558,12 @@ def _build_pt_bell_2x3(cfg):
 
 
 def _build_lift_constant(cfg):
-    from .lift import asym_penalty_constant, lift_witness
+    from .lift import lift_witness
 
     lifted = lift_witness(bell_state_witness(), cfg=cfg)
     return {
         "penalty_constant": lifted.constant,
-        "gap_regime_constant": asym_penalty_constant(
-            lifted.symmetric_part, "gap"
-        ),
+        "gap_regime_constant": 2.0 * lifted.y_norm,
     }
 
 

@@ -52,7 +52,6 @@ from .witness import NotAWitnessError, classify
 __all__ = [
     "MAX_LIFT_TOTAL",
     "LiftedWitness",
-    "asym_penalty_constant",
     "lift_state",
     "lift_witness",
     "negative_direction",
@@ -67,7 +66,12 @@ __all__ = [
 MAX_LIFT_TOTAL = 1 << 16
 
 
-def operator_norm(S, rtol=1e-8, max_iters=200, seed=0):
+# ARPACK's relative tolerance and restart cap for ``operator_norm``
+_NORM_RTOL = 1e-8
+_NORM_MAX_ITERS = 200
+
+
+def operator_norm(S, seed=0):
     """Largest |eigenvalue| of a Hermitian ``StructuredOperator``.
 
     Lanczos iteration (ARPACK) on the structured matvec with a seeded
@@ -75,7 +79,7 @@ def operator_norm(S, rtol=1e-8, max_iters=200, seed=0):
     power iteration is hopeless here: constructions built from swaps
     and projectors cluster their extreme eigenvalues within a fraction
     of a percent.  Raises ``ArithmeticError`` when the iteration does
-    not settle within ``max_iters`` restarts.
+    not settle within ``_NORM_MAX_ITERS`` restarts.
     """
     rng = rng_for(seed, 9090)
     x = random_unit_vector(rng, S.total_dim)
@@ -98,12 +102,12 @@ def operator_norm(S, rtol=1e-8, max_iters=200, seed=0):
     )
     try:
         vals = sparse_linalg.eigsh(
-            op, k=1, which="LM", v0=x, tol=rtol, maxiter=max_iters,
-            return_eigenvectors=False,
+            op, k=1, which="LM", v0=x, tol=_NORM_RTOL,
+            maxiter=_NORM_MAX_ITERS, return_eigenvectors=False,
         )
     except sparse_linalg.ArpackNoConvergence as exc:
         raise ArithmeticError(
-            f"operator norm iteration did not settle in {max_iters} restarts"
+            f"operator norm iteration did not settle in {_NORM_MAX_ITERS} restarts"
         ) from exc
     return float(np.abs(vals).max())
 
@@ -141,26 +145,6 @@ def projector_sandwich_gap(Y, n_probes=8, seed=0):
     return worst
 
 
-def asym_penalty_constant(Y, regime="witness", n_probes=4, seed=0):
-    """Penalty weight making Y + C P_asym nonnegative on products.
-
-    ``regime="witness"`` returns ||Y||_inf, enough for nonnegativity
-    on every product vector; ``regime="gap"`` returns 2 ||Y||_inf,
-    enough to also pin the product minimum to the diagonal floor
-    min_u <u,u|Y|u,u>.  Y must be fixed by the symmetric-subspace
-    sandwich, which is probed on random vectors first.
-    """
-    if regime not in ("witness", "gap"):
-        raise ValueError(f"unknown regime {regime!r}, expected witness or gap")
-    gap = projector_sandwich_gap(Y, n_probes=n_probes, seed=seed)
-    if gap > 1e-8:
-        raise ValueError(
-            f"operator is not sandwich invariant (probe gap {gap:.3e})"
-        )
-    norm = operator_norm(Y, seed=seed)
-    return norm if regime == "witness" else 2.0 * norm
-
-
 @dataclass(frozen=True)
 class LiftedWitness:
     """A four-copy construction together with its penalty bookkeeping.
@@ -169,7 +153,10 @@ class LiftedWitness:
     three live on ``space`` (four equal tensor slots, seen by product
     optimizers as the balanced bipartition slot(1,2) | slot(3,4)).
     ``params`` carries the (alpha, beta, gamma) weights of a state
-    lift and stays empty for witness lifts.
+    lift and stays empty for witness lifts.  ``y_norm`` is the Lanczos
+    value of ||Y||_inf for Y = ``symmetric_part``; the module bound
+    needs C >= 2 ||Y||_inf, so a ``constant`` below 2 ``y_norm`` (less
+    1e-9) is rejected.
     """
 
     operator: StructuredOperator
@@ -186,10 +173,10 @@ class LiftedWitness:
     def __post_init__(self):
         if not math.isfinite(self.constant):
             raise ValueError(f"penalty constant must be finite, got {self.constant}")
-        if self.constant < self.y_norm - 1e-9:
+        if self.constant < 2.0 * self.y_norm - 1e-9:
             raise ValueError(
-                f"penalty constant {self.constant:.6g} is below the norm "
-                f"{self.y_norm:.6g} of the symmetric part"
+                f"penalty constant {self.constant:.6g} is below twice the "
+                f"norm {self.y_norm:.6g} of the symmetric part"
             )
 
 

@@ -327,11 +327,16 @@ def operator_to_json(X):
 def operator_from_json(doc):
     if "dims" not in doc or "re" not in doc:
         raise ValueError("operator document needs 'dims' and 're' keys")
+    dims = doc["dims"]
+    if not isinstance(dims, list) or not all(
+        isinstance(d, int) and not isinstance(d, bool) for d in dims
+    ):
+        raise ValueError(f"'dims' must be a list of integers, got {dims!r}")
     re = np.array(doc["re"], dtype=float)
     im = np.array(doc.get("im", np.zeros_like(re)), dtype=float)
     if re.shape != im.shape:
         raise ValueError(f"re/im shapes differ: {re.shape} vs {im.shape}")
-    return HermitianOperator(doc["dims"], re + 1j * im)
+    return HermitianOperator(dims, re + 1j * im)
 
 
 def save_operator(X, path):

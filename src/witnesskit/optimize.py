@@ -30,16 +30,15 @@ which sits next to the answer, so it converges in a few matvecs when
 the spectral gap is wide (the 256-dim state-lift probe: 7 matvecs).
 Its answer is certified, or replaced by ``zheevr``: the residual must
 be at most delta = 1e-9 (1 + |lambda|), which puts an eigenvalue within
-delta of lambda, and that eigenvalue must be proven the lowest.  Each
-row carries, per half, a proven lower bound on the second eigenvalue
-of the matrix it last solved: ``zheevr`` seeds it with lambda_2 on the
-row's first half-step, and by Weyl's inequality every later half-step
-lowers it by ||M - M_prev||_F.  While lambda + delta lies below that
-bound, the eigenvalue near lambda can only be lambda_1 (the 256-dim
-probe: 158 of a restart's 160 half-steps).  Otherwise a Cholesky
-factorization of the matrix shifted down to lambda - delta must
-succeed, which proves that no lower eigenvalue exists; failing both,
-``zheevr`` solves the half-step and reseeds the bound.
+delta of lambda, and that eigenvalue must be proven the lowest.  The
+one proof is a carried gap bound: each row carries, per half, a proven
+lower bound on the second eigenvalue of the matrix it last solved.
+``zheevr`` seeds it with lambda_2 on the row's first half-step, and by
+Weyl's inequality every later half-step lowers it by ||M - M_prev||_F.
+While lambda + delta lies below that bound, the eigenvalue near lambda
+can only be lambda_1 (the 256-dim probe: 158 of a restart's 160
+half-steps).  Otherwise ``zheevr`` solves the half-step and reseeds
+the bound.
 
 Also here: an epsilon-net oracle that cross-checks the see-saw (a net
 over the smaller factor, an exact eigensolve on the other), and one
@@ -360,7 +359,6 @@ def _heevr_workspace(n):
 _ZHEMV, _ZNRM2, _ZDOTC, _ZCOPY, _ZAXPY = get_blas_funcs(
     ("hemv", "nrm2", "dotc", "copy", "axpy"), dtype=np.complex128
 )
-_POTRF = get_lapack_funcs("potrf", dtype=np.complex128)
 _EPS = np.finfo(np.float64).eps
 
 # Halves from this side up try the warm-started Krylov solve first.  On a
@@ -404,26 +402,23 @@ class _GapBound:
         self.floor = -math.inf
 
 
-def _krylov_ground_pair(M, start, floor=-math.inf):
+def _krylov_ground_pair(M, start, floor):
     """Ground pair of M by ARPACK from ``start``, or None if uncertified.
 
     An answer (lam, x), with lam the Rayleigh quotient of the unit x, is
     returned only if ||Mx - lam x|| <= delta, with delta = 1e-9
-    (1 + |lam|) the see-saw's own monotonicity slack, and no eigenvalue
-    lies below lam - delta.  The residual puts an eigenvalue within
-    delta of lam.  ``floor`` is a proven lower bound on lambda_2 of the
-    Hermitian part of M: when lam + delta lies below it, less
-    ``_gap_slack``, that eigenvalue is lambda_1 with no further work,
+    (1 + |lam|) the see-saw's own monotonicity slack, and lam + delta
+    lies below ``floor`` less ``_gap_slack``.  The residual puts an
+    eigenvalue within delta of lam; ``floor`` is a proven lower bound on
+    lambda_2 of the Hermitian part of M, so that eigenvalue is lambda_1,
     and x lies within angle delta / (floor - lam) of the ground vector.
-    Otherwise M - (lam - delta) I must have a Cholesky factor, which
-    proves that no eigenvalue lies below lam - delta; x then lies in the
-    ground space unless another eigenvalue is within delta of lam.  An
-    excited pair that Lanczos reached from a start with no ground-state
-    component fails both tests: it lies at or above lambda_2.  The upper
+    An excited pair that Lanczos reached from a start with no
+    ground-state component lies at or above lambda_2 and fails the test,
+    and so does any pair of a degenerate ground space.  The upper
     triangle of the C-ordered M is read, as ``zheevr`` does: the Fortran
-    view M.T holds it as its lower triangle, so BLAS and LAPACK work on
-    conj(M), which has the same spectrum and conjugate eigenvectors,
-    without a copy.
+    view M.T holds it as its lower triangle, so BLAS works on conj(M),
+    which has the same spectrum and conjugate eigenvectors, without a
+    copy.
     """
     n = M.shape[0]
     A = M.T
@@ -451,12 +446,7 @@ def _krylov_ground_pair(M, start, floor=-math.inf):
     delta = 1e-9 * (1.0 + abs(lam))
     if _ZNRM2(Ay - lam * y) > delta:
         return None
-    if lam + delta < floor - _gap_slack(n) * norm:
-        return lam, y.conj()
-    shifted = A.copy(order="F")
-    shifted.flat[:: n + 1] -= lam - delta
-    _, info = _POTRF(shifted, lower=1, overwrite_a=1, clean=0)
-    if info != 0:
+    if lam + delta >= floor - _gap_slack(n) * norm:
         return None
     return lam, y.conj()
 
@@ -489,11 +479,12 @@ def _ground_pair(M, start=None, bound=None):
     floor first drops by ||M - prev||_F: the Hermitian parts of M and
     prev differ by at most that much in operator norm, so by Weyl's
     inequality it still bounds lambda_2 of M's Hermitian part.  A capped
-    ARPACK run is then kept if ``_krylov_ground_pair`` certifies it, by
-    that floor or else by a Cholesky factorization.  Otherwise, and on a
-    bound's first solve, ``zheevr`` computes lambda_1 and lambda_2 and
-    reseeds the floor at lambda_2 less its rounding allowance.  M is
-    kept as the bound's new ``prev``.
+    ARPACK run is then kept if ``_krylov_ground_pair`` certifies it by
+    that floor, the only certificate.  Otherwise, and on a bound's first
+    solve, ``zheevr`` computes lambda_1 and lambda_2 and reseeds the
+    floor at lambda_2 less its rounding allowance, so a spent floor is
+    renewed at the next failed test.  M is kept as the bound's new
+    ``prev``.
     """
     n = M.shape[0]
     if bound is None or n < _KRYLOV_MIN_SIDE:
@@ -821,7 +812,11 @@ def _psd_clip(arr):
     return (vecs * vals) @ vecs.conj().T
 
 
-def decomposition_search(W, residual_tol=1e-7, max_iters=20000):
+# Dykstra iterations a split may take before it stops inconclusive
+_SPLIT_MAX_ITERS = 20000
+
+
+def decomposition_search(W, residual_tol=1e-7):
     """Moreau split W = Z + P + Q^Gamma over the PPT cone.
 
     Dykstra's algorithm projects W onto the negated PPT cone
@@ -832,8 +827,8 @@ def decomposition_search(W, residual_tol=1e-7, max_iters=20000):
     (Moreau, C. R. Acad. Sci. Paris 255, 1962), and a nonzero Z gives
     the PPT violation read off by ``ppt_violation_search``.  Success is
     ||Z||_F <= residual_tol with both blocks PSD; stopping on a stalled
-    Z or at max_iters is inconclusive, not a proof of
-    non-decomposability.
+    Z or after ``_SPLIT_MAX_ITERS`` iterations is inconclusive, not a
+    proof of non-decomposability.
     """
     if len(W.dims) != 2:
         raise DimensionError(f"decomposition needs a bipartite operator, got {W.dims}")
@@ -842,7 +837,7 @@ def decomposition_search(W, residual_tol=1e-7, max_iters=20000):
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     residual = float(np.linalg.norm(x))
-    for _ in range(max_iters):
+    for _ in range(_SPLIT_MAX_ITERS):
         if residual <= residual_tol:
             break
         y = x + p

@@ -190,6 +190,10 @@ def test_json_im_optional_and_validated():
         operator_from_json({"re": [[1.0]]})
     with pytest.raises(ValueError):
         operator_from_json({"dims": [1, 2], "re": [[1, 0], [0, 1]], "im": [[0.0]]})
+    # dims must be a JSON list of integers, not coerced by int()
+    for bad in ("22", [2.5, 2], [True, 4]):
+        with pytest.raises(ValueError, match="dims"):
+            operator_from_json({"dims": bad, "re": np.eye(4).tolist()})
 
 
 def test_dense_side_cap_value():
