@@ -542,8 +542,29 @@ def _ground_pairs(M, starts, bounds):
     return lams, vecs
 
 
-def _seesaw_rows(kernel, cfg, indices):
-    """Restarts ``indices`` as one stack of rows, a row per restart.
+# start tables kept by ``_start_table``; a pass of the paper's workflow
+# (``witness_from_separable`` then ``classify``) repeats a handful of
+# (seed, dims, chunk) keys
+_START_TABLES = 16
+
+
+@functools.lru_cache(maxsize=_START_TABLES)
+def _start_table(seed, d_a, d_b, lo, hi):
+    """Read-only see-saw starts of restarts ``lo..hi-1``, shape
+    ``(hi - lo, d_a + d_b)``: row ``k - lo`` holds u, then v, as drawn
+    from ``rng_for(seed, k)``.  A table is the size of the ``U``/``V``
+    stack of the chunk it starts, and callers copy its rows."""
+    table = np.empty((hi - lo, d_a + d_b), dtype=np.complex128)
+    for row, k in zip(table, range(lo, hi)):
+        rng = rng_for(seed, k)
+        row[:d_a] = random_unit_vector(rng, d_a)
+        row[d_a:] = random_unit_vector(rng, d_b)
+    table.flags.writeable = False
+    return table
+
+
+def _seesaw_rows(kernel, cfg, lo, hi):
+    """Restarts ``lo..hi-1`` as one stack of rows, a row per restart.
 
     Each half-step solves every active row at once.  A row keeps its
     own checks: the monotonicity guard, the sweep tolerance and the
@@ -551,13 +572,10 @@ def _seesaw_rows(kernel, cfg, indices):
     either half has ``_KRYLOV_MIN_SIDE`` dims or more, a row carries one
     ``_GapBound`` per half (a smaller half never reads its own).
     """
-    idx = np.array(indices)
-    U = np.empty((idx.size, kernel.d_a), dtype=np.complex128)
-    V = np.empty((idx.size, kernel.d_b), dtype=np.complex128)
-    for i, k in enumerate(idx):
-        rng = rng_for(cfg.seed, k)
-        U[i] = random_unit_vector(rng, kernel.d_a)
-        V[i] = random_unit_vector(rng, kernel.d_b)
+    idx = np.arange(lo, hi)
+    table = _start_table(cfg.seed, kernel.d_a, kernel.d_b, lo, hi)
+    U = table[:, : kernel.d_a].copy()
+    V = table[:, kernel.d_a :].copy()
     M = kernel.cond_a(U)  # also the first A half-step's stack
     value = np.einsum("ni,nij,nj->n", V.conj(), M, V).real
     bounds = np.empty((idx.size, 2), dtype=object)  # None: no bound
@@ -604,7 +622,7 @@ def _seesaw_all(X, cfg, dims=None):
     chunk = max(1, _STACK_ENTRIES // max(kernel.d_a, kernel.d_b) ** 2)
     runs = []
     for lo in range(0, cfg.restarts, chunk):
-        runs += _seesaw_rows(kernel, cfg, range(lo, min(lo + chunk, cfg.restarts)))
+        runs += _seesaw_rows(kernel, cfg, lo, min(lo + chunk, cfg.restarts))
     return sorted(runs, key=lambda r: r.index)
 
 
@@ -615,7 +633,10 @@ def min_product_expectation(X, cfg=None, dims=None):
     whose terms split across the bipartition (pass ``dims`` to override
     the inferred split).  Restart k draws its start from a generator
     seeded with (cfg.seed, k); results merge by minimum value with ties
-    going to the lowest restart index, so runs are reproducible.
+    going to the lowest restart index, so runs are reproducible.  The
+    starts are drawn once per (seed, dims, chunk) into a read-only table
+    that later calls reuse (``_start_table``); the stream contract, and
+    so every result, is the same as drawing them afresh.
     """
     cfg = cfg or OptimizerConfig()
     runs = _seesaw_all(X, cfg, dims)

@@ -3,6 +3,8 @@ transpose, product expectations, JSON round trips."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from witnesskit.operators import (
     DENSE_SIDE_CAP,
@@ -112,8 +114,11 @@ def test_eig_hermitian_ascending_and_norm():
     assert inf_norm(X) == pytest.approx(np.abs(spec.eigenvalues).max())
 
 
-def test_partial_transpose_involution_and_trace():
-    rng = rng_for(7)
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=7)  # the fixed draw this check started from
+def test_partial_transpose_involution_and_trace(seed):
+    rng = rng_for(seed)
     for dims in ((2, 2), (2, 3), (3, 3)):
         X = random_hermitian(rng, dims)
         pt = partial_transpose(X)
@@ -122,6 +127,19 @@ def test_partial_transpose_involution_and_trace():
         # transposing both factors is the full transpose
         both = partial_transpose(partial_transpose(X, 0), 1)
         np.testing.assert_array_equal(both.entries, X.entries.T)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+def test_partial_transpose_conjugates_the_second_factor(seed, dims):
+    # <u,v|X|u,v> = <u,v*|X^Gamma|u,v*>: the identity behind
+    # minprod(X) = minprod(X^Gamma)
+    rng = rng_for(seed)
+    X = random_hermitian(rng, dims)
+    pv = random_product_vector(rng, dims)
+    expected = product_expectation(X, pv)
+    got = product_expectation(partial_transpose(X), pv.conjugate_second())
+    assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
 
 
 def test_partial_transpose_factor_index_bounds():

@@ -430,6 +430,65 @@ def test_seesaw_restarts_are_batch_independent(seed, dims, r1, extra):
     assert res.restarts_converged == sum(run.converged for run in large)
 
 
+@pytest.mark.parametrize("d_a,d_b,lo,hi", [(2, 3, 0, 5), (3, 2, 4, 9), (16, 16, 0, 3)])
+def test_start_table_rows_are_the_seeded_draws(d_a, d_b, lo, hi):
+    # row k - lo of a table is restart k's start: u, then v, from rng_for(seed, k)
+    table = optimize._start_table(11, d_a, d_b, lo, hi)
+    assert table.shape == (hi - lo, d_a + d_b)
+    for k, row in zip(range(lo, hi), table):
+        rng = rng_for(11, k)
+        np.testing.assert_array_equal(row[:d_a], random_unit_vector(rng, d_a))
+        np.testing.assert_array_equal(row[d_a:], random_unit_vector(rng, d_b))
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+
+
+def _same_minprod(a, b):
+    assert a.value == b.value
+    np.testing.assert_array_equal(a.argmin.u, b.argmin.u)
+    np.testing.assert_array_equal(a.argmin.v, b.argmin.v)
+    assert (a.converged, a.restarts_converged) == (b.converged, b.restarts_converged)
+
+
+def test_minprod_same_on_cold_and_warm_start_tables():
+    X = random_hermitian(rng_for(71), (2, 3))
+    cfg = OptimizerConfig(restarts=24, seed=3)
+    optimize._start_table.cache_clear()
+    cold = min_product_expectation(X, cfg)
+    assert optimize._start_table.cache_info().misses == 1
+    warm = min_product_expectation(X, cfg)
+    assert optimize._start_table.cache_info().hits == 1
+    _same_minprod(cold, warm)
+
+
+def test_writes_into_results_do_not_reach_the_start_tables():
+    # one sweep keeps the returned vectors as close to the starts as the
+    # see-saw allows; scribbling on them must not change the next call
+    X = random_hermitian(rng_for(73), (3, 3))
+    cfg = OptimizerConfig(restarts=8, seed=4, max_sweeps=1)
+    first = min_product_expectation(X, cfg)
+    kept = min_product_expectation(X, cfg)
+    for vec in (first.argmin.u, first.argmin.v):
+        vec.setflags(write=True)  # argmin is a read-only copy; force it open
+        vec[:] = 0.0
+    for run in optimize._seesaw_all(X, cfg):
+        run.u[:] = 0.0
+        run.v[:] = 0.0
+    _same_minprod(min_product_expectation(X, cfg), kept)
+    optimize._start_table.cache_clear()
+    _same_minprod(min_product_expectation(X, cfg), kept)
+
+
+def test_start_table_cache_holds_at_most_its_bound():
+    X = random_hermitian(rng_for(75), (2, 2))
+    optimize._start_table.cache_clear()
+    assert optimize._start_table.cache_info().maxsize == optimize._START_TABLES
+    for seed in range(2 * optimize._START_TABLES):
+        min_product_expectation(X, OptimizerConfig(restarts=2, seed=seed))
+        assert optimize._start_table.cache_info().currsize <= optimize._START_TABLES
+    assert optimize._start_table.cache_info().currsize == optimize._START_TABLES
+
+
 def test_seesaw_guard_catches_one_rising_row(monkeypatch):
     # the last row of the stack drifts up by 1e-6 more at every
     # half-step; the other rows descend as usual
