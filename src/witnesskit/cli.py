@@ -20,6 +20,7 @@ from the WF_SEED environment variable; --seed overrides it.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -85,8 +86,7 @@ def _product_vector(pv):
 
 
 def _emit(report):
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
 
 
 def _error_report(command, exc):
@@ -307,6 +307,7 @@ def cmd_decompose(args):
                 "restarts": cfg.restarts,
             },
             "results": results,
+            "diagnostics": {"split_iterations": int(dec.iterations)},
             "status": "pass" if (dec.success or ppt.violation) else "indeterminate",
         }
     )
@@ -405,9 +406,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of this process, built on the first ``main`` call;
+    ``parse_args`` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, ArithmeticError, TypeError) as exc:

@@ -43,9 +43,10 @@ the bound.
 Also here: an epsilon-net oracle that cross-checks the see-saw (a net
 over the smaller factor, an exact eigensolve on the other), and one
 Moreau split of a witness over the PPT cone, W = Z + P + Q^Gamma with
-P, Q PSD and Z in the negated PPT cone, computed by a single Dykstra
-loop.  ``ppt_violation_search`` runs it once and reads both outcomes:
-Z = 0 is a decomposition W = P + Q^Gamma; a nonzero Z yields the PPT
+P, Q PSD and Z in the negated PPT cone at the limit, computed by one
+Anderson-accelerated fixed-point loop.  ``ppt_violation_search`` runs
+it once and reads both outcomes: Z = 0 is a decomposition
+W = P + Q^Gamma; a nonzero Z yields the PPT
 state -Z / tr(-Z) with negative witness expectation, made exactly PSD
 and PPT by mixing in just enough of the identity (closed form, no
 second projection loop).
@@ -782,12 +783,14 @@ def grid_oracle_minprod(X, resolution=64):
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """P, Q PSD with W = Z + P + Q^Gamma; ``residual`` is ||Z||_F."""
+    """P, Q PSD with W = Z + P + Q^Gamma; ``residual`` is ||Z||_F and
+    ``iterations`` the split iterations run."""
 
     P: object
     Q: object
     residual: float
     success: bool
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -833,48 +836,87 @@ def _psd_clip(arr):
     return (vecs * vals) @ vecs.conj().T
 
 
-# Dykstra iterations a split may take before it stops inconclusive
+# split iterations (evaluations of the map g) before a split stops
+# inconclusive
 _SPLIT_MAX_ITERS = 20000
+# differences of g(q) - q that the Anderson step extrapolates from
+_ANDERSON_MEMORY = 5
 
 
 def decomposition_search(W, residual_tol=1e-7):
     """Moreau split W = Z + P + Q^Gamma over the PPT cone.
 
-    Dykstra's algorithm projects W onto the negated PPT cone
-    {Z : Z <= 0, Z^Gamma <= 0}.  Its two correction terms are, at every
-    iterate, the PSD clip P of the first constraint and Q^Gamma with Q
-    PSD for the second, and W = Z + P + Q^Gamma throughout.  At the
-    limit Z is the projection, so Z = 0 exactly when W is decomposable
-    (Moreau, C. R. Acad. Sci. Paris 255, 1962), and a nonzero Z gives
-    the PPT violation read off by ``ppt_violation_search``.  Success is
-    ||Z||_F <= residual_tol with both blocks PSD; stopping on a stalled
-    Z or after ``_SPLIT_MAX_ITERS`` iterations is inconclusive, not a
-    proof of non-decomposability.
+    The split is a fixed point of the map q -> g(q) with
+    p = clip(W - q), g(q) = (clip((W - p)^Gamma))^Gamma and
+    Z = W - p - g(q), clip being the PSD part.  Iterating g plainly is
+    Dykstra's projection of W onto the negated PPT cone
+    {Z : Z <= 0, Z^Gamma <= 0}; at its limit Z is the projection, so
+    Z = 0 exactly when W is decomposable (Moreau, C. R. Acad. Sci.
+    Paris 255, 1962), and a nonzero Z gives the PPT violation read off
+    by ``ppt_violation_search``.  The loop accelerates it with type-II
+    Anderson extrapolation (Walker & Ni, SIAM J. Numer. Anal. 49, 2011):
+    the next input q is g(q) corrected by the least-squares combination
+    of the last ``_ANDERSON_MEMORY`` differences of g(q) - q, and the
+    history is cleared whenever ||g(q) - q||_F grows (Zhang, O'Donoghue
+    & Boyd, SIAM J. Optim. 30, 2020).  Only the input q is
+    extrapolated: P = p and Q = clip((W - p)^Gamma) always come from an
+    actual clip, so at every iterate P, Q are PSD, Z^Gamma <= 0 and
+    W = Z + P + Q^Gamma to rounding.  Success is ||Z||_F <=
+    residual_tol; stopping at a fixed point of g (||g(q) - q||_F <=
+    1e-12 (1 + ||Z||_F)) with Z nonzero, or after ``_SPLIT_MAX_ITERS``
+    iterations, is inconclusive, not a proof of non-decomposability.
     """
     if len(W.dims) != 2:
         raise DimensionError(f"decomposition needs a bipartite operator, got {W.dims}")
     dims = W.dims
-    x = np.array(W.entries)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    residual = float(np.linalg.norm(x))
-    for _ in range(_SPLIT_MAX_ITERS):
-        if residual <= residual_tol:
+    w = W.entries
+    q_in = np.zeros_like(w)
+    d_f, d_g = [], []  # differences of f = g(q) - q and of g(q)
+    f_prev = g_prev = None
+    f_norm_prev = math.inf
+    for iterations in range(1, _SPLIT_MAX_ITERS + 1):
+        p = _psd_clip(w - q_in)
+        g = _pt2(_psd_clip(_pt2(w - p, dims)), dims)
+        residual = float(np.linalg.norm(w - p - g))
+        f = g - q_in
+        f_norm = float(np.linalg.norm(f))
+        if residual <= residual_tol or f_norm <= 1e-12 * (1.0 + residual):
             break
-        y = x + p
-        p = _psd_clip(y)
-        z = y - p + q
-        q = _pt2(_psd_clip(_pt2(z, dims)), dims)
-        x, prev = z - q, x
-        residual = float(np.linalg.norm(x))
-        if np.linalg.norm(x - prev) <= 1e-12 * (1.0 + residual):
-            break
+        if f_norm > f_norm_prev:
+            d_f.clear()
+            d_g.clear()
+        elif f_prev is not None:
+            d_f.append(f - f_prev)
+            d_g.append(g - g_prev)
+            if len(d_f) > _ANDERSON_MEMORY:
+                del d_f[0], d_g[0]
+        f_prev, g_prev, f_norm_prev = f, g, f_norm
+        q_in = g
+        if d_f:
+            # real coefficients keep q Hermitian
+            basis = np.stack(d_f).reshape(len(d_f), -1).view(np.float64).T
+            gamma = np.linalg.lstsq(basis, f.reshape(-1).view(np.float64), rcond=None)[0]
+            q_in = g - np.tensordot(gamma, np.stack(d_g), axes=1)
     return DecompositionResult(
         HermitianOperator(dims, p),
-        HermitianOperator(dims, _pt2(q, dims)),
+        HermitianOperator(dims, _pt2(g, dims)),
         residual,
         residual <= residual_tol,
+        iterations,
     )
+
+
+def _mix_into_ppt(neg_z, dims):
+    """The closed-form PPT state of ``ppt_violation_search`` read from
+    -Z = ``neg_z``, which must have positive trace."""
+    rho0 = (neg_z + neg_z.conj().T) / (2.0 * neg_z.trace().real)
+    eps = max(
+        0.0,
+        -float(np.linalg.eigvalsh(rho0)[0]),
+        -float(np.linalg.eigvalsh(_pt2(rho0, dims))[0]),
+    )
+    side = rho0.shape[0]
+    return (rho0 + eps * np.eye(side)) / (1.0 + eps * side)
 
 
 def ppt_violation_search(W, cfg=None):
@@ -910,13 +952,7 @@ def ppt_violation_search(W, cfg=None):
     mass = float(neg_z.trace().real)
     if mass <= 0.0:
         return PPTSearchResult(None, 0.0, dec.success, 1, dec)
-    rho0 = (neg_z + neg_z.conj().T) / (2.0 * mass)
-    eps = max(
-        0.0,
-        -float(np.linalg.eigvalsh(rho0)[0]),
-        -float(np.linalg.eigvalsh(_pt2(rho0, dims))[0]),
-    )
-    final = (rho0 + eps * np.eye(W.side)) / (1.0 + eps * W.side)
+    final = _mix_into_ppt(neg_z, dims)
     value = float((w @ final).trace().real)
     violation = None
     if not dec.success:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON report shape, seeding,
 and determinism, driven through ``cli.main`` in process."""
 
+import io
 import json
 import sys
 
@@ -333,8 +334,8 @@ def test_decompose_runs_one_split(tmp_path, capsys, monkeypatch, op, decomposes)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
 
     # ``from .optimize import`` copies the function: patch every copy
     for name, module in list(sys.modules.items()):
@@ -351,6 +352,22 @@ def test_decompose_runs_one_split(tmp_path, capsys, monkeypatch, op, decomposes)
     assert res["ppt_search"]["violation_found"] is not decomposes
     assert res["decomposition"]["residual"]["tolerance"] == 1e-7
     assert len(calls) == 1
+    assert report["diagnostics"] == {"split_iterations": calls[0].iterations}
+
+
+def test_decompose_twice_in_one_process(tmp_path, capsys):
+    # the parser is built once per process; each call writes one report
+    # exactly as json.dump(report, indent=2) plus a newline would
+    path = _write_operator(tmp_path, "w.json", w_xyz(1.0, 1.0, 0.0).operator)
+    outs = []
+    for _ in range(2):
+        assert cli.main(["decompose", path, "--seed", "3"]) == cli.EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    expected = io.StringIO()
+    json.dump(json.loads(outs[0]), expected, indent=2)
+    assert outs[0] == expected.getvalue() + "\n"
+    assert cli._parser() is cli._parser()
 
 
 # ---------------------------------------------------------------------------

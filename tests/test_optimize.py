@@ -2,6 +2,7 @@
 collection, the grid cross-check, PPT violation search, and the
 decomposition splitter."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -696,21 +697,27 @@ def test_ppt_search_short_circuits_on_psd_input():
 
 
 def test_ppt_search_mixes_an_unfinished_split_into_a_certificate():
-    # this draw's split stops at its iteration cap, where -Z / tr(-Z) is
-    # PSD only to about 2e-7; mixing in the identity still certifies it
+    # the split of this draw converges, so -Z is pushed off the PSD cone
+    # by 2e-7 of its trace, as an unfinished split leaves it; mixing in
+    # the identity still certifies it
     X = random_hermitian(rng_for(2328222968), (2, 3))
     W = X.shifted(float(np.linalg.eigvalsh(X.entries)[0]) + 0.2754700329103396)
     res = ppt_violation_search(W)
     dec = res.decomposition
     assert not dec.success
+    found = res.violation
+    assert float((W.entries @ found.state.entries).trace().real) == pytest.approx(
+        found.value, abs=1e-12
+    )
     neg_z = dec.P.entries + partial_transpose(dec.Q).entries - W.entries
+    lowest = np.linalg.eigh(neg_z)[1][:, 0]
+    neg_z -= 2e-7 * neg_z.trace().real * np.outer(lowest, lowest.conj())
     assert np.linalg.eigvalsh(neg_z)[0] < -1e-7 * neg_z.trace().real
-    rho = res.violation.state
+    rho = HermitianOperator(W.dims, optimize._mix_into_ppt(neg_z, W.dims))
     assert abs(rho.trace() - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(rho.entries)[0] >= -1e-12
     assert np.linalg.eigvalsh(partial_transpose(rho).entries)[0] >= -1e-12
     value = float((W.entries @ rho.entries).trace().real)
-    assert value == pytest.approx(res.violation.value, abs=1e-12)
     assert value < -1e-3
 
 
@@ -752,6 +759,56 @@ def test_split_verdicts_on_wxyz(xyz, decomposes):
     res = ppt_violation_search(w_xyz(*xyz).operator)
     assert res.decomposition.success is decomposes
     assert (res.violation is None) is decomposes
+
+
+def test_split_verdicts_on_wxyz_grid():
+    grid = np.arange(7) * 0.25
+    counts = {"decomposed": 0, "violated": 0, "inconclusive": 0}
+    for xyz in itertools.product(grid, repeat=3):
+        built = w_xyz(*xyz)
+        if not built.condition_met:
+            continue
+        res = ppt_violation_search(built.operator)
+        assert not (res.decomposition.success and res.violation is not None)
+        if res.decomposition.success:
+            counts["decomposed"] += 1
+        elif res.violation is not None:
+            counts["violated"] += 1
+        else:
+            counts["inconclusive"] += 1
+    assert counts == {"decomposed": 166, "violated": 48, "inconclusive": 0}
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+    depth=st.floats(0.01, 1.0),
+)
+def test_split_exit_state_is_a_moreau_split(seed, dims, depth):
+    X = random_hermitian(rng_for(seed), dims)
+    W = X.shifted(float(np.linalg.eigvalsh(X.entries)[0]) + depth)
+    dec = decomposition_search(W)
+    assert 1 <= dec.iterations <= optimize._SPLIT_MAX_ITERS
+    z = W.entries - dec.P.entries - partial_transpose(dec.Q).entries
+    assert abs(np.linalg.norm(z) - dec.residual) <= 1e-12 * (1.0 + dec.residual)
+    assert np.linalg.eigvalsh(dec.P.entries)[0] >= -1e-9
+    assert np.linalg.eigvalsh(dec.Q.entries)[0] >= -1e-9
+    z_pt = partial_transpose(HermitianOperator(dims, z)).entries
+    assert np.linalg.eigvalsh(z_pt)[-1] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "seed, depth",
+    [(1610, 0.859628127657393), (1487, 0.7913346578276198)],
+)
+def test_slow_draws_split_in_under_1000_iterations(seed, depth):
+    # plain Dykstra took 9,986 and 5,475 iterations on these draws
+    X = random_hermitian(rng_for(seed), (3, 3))
+    W = X.shifted(float(np.linalg.eigvalsh(X.entries)[0]) + depth)
+    res = ppt_violation_search(W)
+    assert res.violation is not None
+    assert res.decomposition.iterations < 1000
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
