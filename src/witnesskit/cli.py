@@ -20,7 +20,6 @@ from the WF_SEED environment variable; --seed overrides it.
 
 import argparse
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -406,15 +405,9 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """The parser of this process, built on the first ``main`` call;
-    ``parse_args`` keeps no state between calls."""
-    return build_parser()
-
-
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, ArithmeticError, TypeError) as exc:

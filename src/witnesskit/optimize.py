@@ -841,6 +841,9 @@ def _psd_clip(arr):
 _SPLIT_MAX_ITERS = 20000
 # differences of g(q) - q that the Anderson step extrapolates from
 _ANDERSON_MEMORY = 5
+# acceptance bound D f0 n^-(1 + eps) of the n-th extrapolated input
+_SAFEGUARD_D = 1e6
+_SAFEGUARD_EPS = 1e-6
 
 
 def decomposition_search(W, residual_tol=1e-7):
@@ -856,24 +859,37 @@ def decomposition_search(W, residual_tol=1e-7):
     by ``ppt_violation_search``.  The loop accelerates it with type-II
     Anderson extrapolation (Walker & Ni, SIAM J. Numer. Anal. 49, 2011):
     the next input q is g(q) corrected by the least-squares combination
-    of the last ``_ANDERSON_MEMORY`` differences of g(q) - q, and the
-    history is cleared whenever ||g(q) - q||_F grows (Zhang, O'Donoghue
-    & Boyd, SIAM J. Optim. 30, 2020).  Only the input q is
-    extrapolated: P = p and Q = clip((W - p)^Gamma) always come from an
-    actual clip, so at every iterate P, Q are PSD, Z^Gamma <= 0 and
-    W = Z + P + Q^Gamma to rounding.  Success is ||Z||_F <=
-    residual_tol; stopping at a fixed point of g (||g(q) - q||_F <=
-    1e-12 (1 + ||Z||_F)) with Z nonzero, or after ``_SPLIT_MAX_ITERS``
-    iterations, is inconclusive, not a proof of non-decomposability.
+    of the last ``_ANDERSON_MEMORY`` differences of g(q) - q.  The
+    safeguard is that of Zhang, O'Donoghue & Boyd (SIAM J. Optim. 30,
+    2020) with their constants D = 1e6, eps = 1e-6: the n-th
+    extrapolated input is accepted only if ||g(q) - q||_F <= D f0
+    n^-(1 + eps), f0 being its value at q = 0; otherwise it is rejected,
+    the history is cleared and the next input is the plain Dykstra step
+    g(q) of the last accepted input.  g is averaged (the projection onto
+    {X : X^Gamma >= 0} after q -> W - clip(W - q), which is
+    1/2-averaged), so plain steps never raise ||g(q) - q||_F, accepted
+    extrapolations have summable residuals, and the residual at accepted
+    inputs tends to 0 if the loop runs on.  Apart from the safeguard the
+    history is also cleared whenever ||g(q) - q||_F grows from the last
+    accepted input, a heuristic restart that keeps the point.  Only the
+    input q is extrapolated: P = p and Q = clip((W - p)^Gamma) always
+    come from an actual clip, so at every iterate P, Q are PSD,
+    Z^Gamma <= 0 and W = Z + P + Q^Gamma to rounding.  Success is
+    ||Z||_F <= residual_tol; stopping at a fixed point of g
+    (||g(q) - q||_F <= 1e-12 (1 + ||Z||_F)) with Z nonzero, or after
+    ``_SPLIT_MAX_ITERS`` iterations, is inconclusive, not a proof of
+    non-decomposability.
     """
     if len(W.dims) != 2:
         raise DimensionError(f"decomposition needs a bipartite operator, got {W.dims}")
     dims = W.dims
     w = W.entries
     q_in = np.zeros_like(w)
+    plain = True  # q_in is g of the last accepted input, or the start
     d_f, d_g = [], []  # differences of f = g(q) - q and of g(q)
-    f_prev = g_prev = None
+    f_prev = g_prev = None  # f and g at the last accepted input
     f_norm_prev = math.inf
+    accepted = 0  # extrapolated inputs accepted so far
     for iterations in range(1, _SPLIT_MAX_ITERS + 1):
         p = _psd_clip(w - q_in)
         g = _pt2(_psd_clip(_pt2(w - p, dims)), dims)
@@ -882,6 +898,17 @@ def decomposition_search(W, residual_tol=1e-7):
         f_norm = float(np.linalg.norm(f))
         if residual <= residual_tol or f_norm <= 1e-12 * (1.0 + residual):
             break
+        if f_prev is None:
+            f_norm_0 = f_norm
+        elif not plain:
+            bound = _SAFEGUARD_D * f_norm_0 * (accepted + 1) ** -(1.0 + _SAFEGUARD_EPS)
+            if f_norm > bound:
+                # reject the extrapolated input: plain step from the last accepted
+                d_f.clear()
+                d_g.clear()
+                q_in, plain = g_prev, True
+                continue
+            accepted += 1
         if f_norm > f_norm_prev:
             d_f.clear()
             d_g.clear()
@@ -891,8 +918,9 @@ def decomposition_search(W, residual_tol=1e-7):
             if len(d_f) > _ANDERSON_MEMORY:
                 del d_f[0], d_g[0]
         f_prev, g_prev, f_norm_prev = f, g, f_norm
-        q_in = g
+        q_in, plain = g, True
         if d_f:
+            plain = False
             # real coefficients keep q Hermitian
             basis = np.stack(d_f).reshape(len(d_f), -1).view(np.float64).T
             gamma = np.linalg.lstsq(basis, f.reshape(-1).view(np.float64), rcond=None)[0]

@@ -811,6 +811,46 @@ def test_slow_draws_split_in_under_1000_iterations(seed, depth):
     assert res.decomposition.iterations < 1000
 
 
+def test_rejected_extrapolations_fall_back_to_plain_dykstra(monkeypatch):
+    # with D = 0 the safeguard rejects every extrapolated input, so the
+    # loop must evaluate the plain Dykstra inputs in order, each rejected
+    # input followed at once by g of the last accepted one
+    W = w_xyz(1.0, 1.0, 0.0).operator
+    w, dims = W.entries, W.dims
+    plain = [np.zeros_like(w)]
+    for _ in range(200):
+        p = optimize._psd_clip(w - plain[-1])
+        plain.append(optimize._pt2(optimize._psd_clip(optimize._pt2(w - p, dims)), dims))
+    clip = optimize._psd_clip
+    inputs, calls = [], []
+
+    def logged_clip(a):
+        # the first of each pair of clips is clip(W - q)
+        if len(calls) % 2 == 0:
+            inputs.append(w - a)
+        calls.append(None)
+        return clip(a)
+
+    monkeypatch.setattr(optimize, "_psd_clip", logged_clip)
+    monkeypatch.setattr(optimize, "_SAFEGUARD_D", 0.0)
+    dec = decomposition_search(W)
+    assert len(inputs) == dec.iterations
+    j = rejected = 0
+    after_rejection = False
+    for q in inputs:
+        if np.allclose(q, plain[j], rtol=0.0, atol=1e-12):
+            j += 1
+            after_rejection = False
+        else:
+            assert not after_rejection
+            after_rejection = True
+            rejected += 1
+    assert rejected > 0
+    assert j + rejected == dec.iterations
+    monkeypatch.undo()
+    assert decomposition_search(W).iterations < j
+
+
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(
     seed=st.integers(0, 2**32 - 1),
