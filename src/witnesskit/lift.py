@@ -17,8 +17,10 @@ Negative eigenvalue directions survive inside the swap-symmetric
 subspace, so the result is a witness whenever the source has mixed
 spectrum.  Everything here is matrix free: the lifted operators are
 ``StructuredOperator`` sums whose factors act axis by axis, so a
-65,536-dimensional state lift costs about 1.3 ms per matvec (2 vCPUs,
-one BLAS thread) and is never materialized densely.
+65,536-dimensional state lift is never materialized densely.  The
+penalty's ||Y||_inf comes in closed form for witness lifts (||W||^4,
+one eigvalsh of W) and from ``operator_norm``, a three-vector Lanczos
+recurrence on the structured matvec, for state lifts.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import linalg as sparse_linalg
+from scipy.linalg import eigh_tridiagonal
 
 from .operators import (
     DimensionError,
     HermitianOperator,
     eig_hermitian,
+    inf_norm,
 )
 from .optimize import OptimizerConfig
 from .sampling import random_unit_vector, rng_for
@@ -66,50 +69,84 @@ __all__ = [
 MAX_LIFT_TOTAL = 1 << 16
 
 
-# ARPACK's relative tolerance and restart cap for ``operator_norm``
+# Relative residual at which ``operator_norm`` stops, and its step cap
 _NORM_RTOL = 1e-8
-_NORM_MAX_ITERS = 200
+_NORM_MAX_STEPS = 500
 
 
 def operator_norm(S, seed=0):
     """Largest |eigenvalue| of a Hermitian ``StructuredOperator``.
 
-    Lanczos iteration (ARPACK) on the structured matvec with a seeded
-    start vector, so only matrix-vector products are needed.  Plain
-    power iteration is hopeless here: constructions built from swaps
-    and projectors cluster their extreme eigenvalues within a fraction
-    of a percent.  Raises ``ArithmeticError`` when the iteration does
-    not settle within ``_NORM_MAX_ITERS`` restarts.
+    A plain three-term Lanczos recurrence on the structured matvec from
+    a seeded start vector.  It holds three work vectors (q, the previous
+    q and w = S q) besides the matvec's own, plus the scalar
+    coefficients alpha_k, beta_k of the tridiagonal T_k.  After k steps
+    let theta be the Ritz value of T_k of largest |theta| and s_k the
+    last entry of its unit eigenvector; S has an eigenvalue within
+    beta_k |s_k| of theta.  The iteration stops once beta_k |s_k| <=
+    ``_NORM_RTOL`` |theta|, which includes beta_k = 0 (an invariant
+    subspace, theta exact).  Plain power iteration is hopeless here:
+    constructions built from swaps and projectors cluster their extreme
+    eigenvalues within a fraction of a percent.
+
+    No reorthogonalization is needed for an extreme eigenvalue.  In
+    floating point the Lanczos vectors lose orthogonality only as Ritz
+    values converge, and the loss only duplicates converged Ritz values,
+    which stay inside the spectrum (Paige, Linear Algebra Appl. 34
+    (1980)); so the result never exceeds ||S|| beyond rounding.  Raises
+    ``ArithmeticError`` when the test is not met within
+    ``_NORM_MAX_STEPS`` steps.
     """
     rng = rng_for(seed, 9090)
-    x = random_unit_vector(rng, S.total_dim)
-    probe = float(np.linalg.norm(S.matvec(x)))
+    q = random_unit_vector(rng, S.total_dim)
+    w = S.matvec(q)
     for _ in range(2):
-        if probe >= 1e-300:
+        if np.linalg.norm(w) >= 1e-300:
             break
         # start vector fell into the kernel; a couple of fresh draws
         # distinguish the zero operator from bad luck
-        x = random_unit_vector(rng, S.total_dim)
-        probe = float(np.linalg.norm(S.matvec(x)))
+        q = random_unit_vector(rng, S.total_dim)
+        w = S.matvec(q)
     else:
         return 0.0
-    if S.total_dim < 8:
-        return float(np.abs(np.linalg.eigvalsh(S.to_dense())).max())
-    op = sparse_linalg.LinearOperator(
-        (S.total_dim, S.total_dim),
-        matvec=S.matvec,
-        dtype=np.complex128,
+    alphas, betas = [], []
+    for _ in range(_NORM_MAX_STEPS):
+        alpha = float(np.vdot(q, w).real)
+        alphas.append(alpha)
+        w -= alpha * q
+        beta = float(np.linalg.norm(w))
+        ends = [
+            eigh_tridiagonal(alphas, betas, select="i", select_range=(i, i))
+            for i in (0, len(alphas) - 1)
+        ]
+        vals, vecs = max(ends, key=lambda end: abs(end[0][0]))
+        theta = float(vals[0])
+        if beta * abs(vecs[-1, 0]) <= _NORM_RTOL * abs(theta):
+            return abs(theta)
+        betas.append(beta)
+        w /= beta
+        q_prev, q = q, w
+        w = S.matvec(q)
+        w -= beta * q_prev
+    raise ArithmeticError(
+        f"operator norm iteration did not settle in {_NORM_MAX_STEPS} steps"
     )
-    try:
-        vals = sparse_linalg.eigsh(
-            op, k=1, which="LM", v0=x, tol=_NORM_RTOL,
-            maxiter=_NORM_MAX_ITERS, return_eigenvectors=False,
-        )
-    except sparse_linalg.ArpackNoConvergence as exc:
-        raise ArithmeticError(
-            f"operator norm iteration did not settle in {_NORM_MAX_ITERS} restarts"
-        ) from exc
-    return float(np.abs(vals).max())
+
+
+def _witness_lift_norm(W):
+    """||Y||_inf of a witness lift's symmetric part, in closed form.
+
+    Y = (M0 (x) M0 + M1 (x) M1) / 2 with M0 = W (x) W and M1 = M0 V.
+    M0 commutes with the swap V, so M1 is Hermitian with ||M1|| =
+    ||M0|| = ||W||^2, hence ||Y|| <= ||W||^4; a (x) a (x) a (x) a, with
+    a an eigenvector of W for its largest |eigenvalue|, is fixed by V in
+    each half and attains the bound.  So ||Y|| = ||W||^4, from one
+    eigvalsh of W.  That eigvalsh is backward stable, so the computed
+    ||W|| is within about n eps relative of the exact one (n = W.side),
+    and the fourth power at most quadruples a relative error: the value
+    is raised by 4 n eps so that C = 2 y_norm stays at or above 2 ||Y||.
+    """
+    return inf_norm(W) ** 4 * (1.0 + 4.0 * W.side * np.finfo(float).eps)
 
 
 def _half_swap_sym_projector(space_dims):
@@ -153,10 +190,12 @@ class LiftedWitness:
     three live on ``space`` (four equal tensor slots, seen by product
     optimizers as the balanced bipartition slot(1,2) | slot(3,4)).
     ``params`` carries the (alpha, beta, gamma) weights of a state
-    lift and stays empty for witness lifts.  ``y_norm`` is the Lanczos
-    value of ||Y||_inf for Y = ``symmetric_part``; the module bound
-    needs C >= 2 ||Y||_inf, so a ``constant`` below 2 ``y_norm`` (less
-    1e-9) is rejected.
+    lift and stays empty for witness lifts.  ``y_norm`` is ||Y||_inf
+    for Y = ``symmetric_part``: the closed form ||W||^4 with its
+    rounding allowance for witness lifts, the Lanczos value of
+    ``operator_norm`` for state lifts.  The module bound needs
+    C >= 2 ||Y||_inf, so a ``constant`` below 2 ``y_norm`` (less 1e-9)
+    is rejected.
     """
 
     operator: StructuredOperator
@@ -182,7 +221,8 @@ class LiftedWitness:
 
 def _finish_lift(Y, C, cfg, source_kind, source, params=()):
     """Probe the symmetric part Y, set the penalty (default
-    C = 2 ||Y||_inf) and assemble the ``LiftedWitness``."""
+    C = 2 ||Y||_inf, with ||Y||_inf in closed form for a witness source)
+    and assemble the ``LiftedWitness``."""
     if C is not None and not math.isfinite(C):
         raise ValueError(f"penalty constant must be finite, got {C}")
     gap = projector_sandwich_gap(Y, n_probes=4, seed=cfg.seed)
@@ -190,7 +230,10 @@ def _finish_lift(Y, C, cfg, source_kind, source, params=()):
         raise ArithmeticError(
             f"symmetric sandwich probe failed on the lift (gap {gap:.3e})"
         )
-    y_norm = operator_norm(Y, seed=cfg.seed)
+    if source_kind == "witness":
+        y_norm = _witness_lift_norm(source)
+    else:
+        y_norm = operator_norm(Y, seed=cfg.seed)
     constant = 2.0 * y_norm if C is None else float(C)
     asym = _asym_projector(Y.space_dims)
     return LiftedWitness(

@@ -810,9 +810,9 @@ class PPTSearchResult:
     """``decomposition`` is the one split the search ran, ``violation``
     the PPT state read from it if certified, and ``best_value`` tr(W rho)
     at that state (0.0 when -Z has no positive trace, lambda_min(W)
-    when W is PSD); ``converged`` means a verdict was reached, a
-    decomposition or a certified violation; ``starts_used`` is 1, or 0
-    on PSD input."""
+    when W is PSD, the proven floor -||Z||_F when the split decomposed);
+    ``converged`` means a verdict was reached, a decomposition or a
+    certified violation; ``starts_used`` is 1, or 0 on PSD input."""
 
     violation: object  # PPTViolation | None
     best_value: float
@@ -959,10 +959,12 @@ def ppt_violation_search(W, cfg=None):
     state in closed form: with eps = max(0, -lambda_min(rho0),
     -lambda_min(rho0^Gamma)) and I^Gamma = I, rho = (rho0 + eps I) /
     (1 + eps d) is PSD, PPT and unit-trace.  It is certified only if it
-    is PPT to 1e-8 with unit trace, tr(W rho) < -tol_zero and the split
-    did not decompose.  A successful decomposition proves that no
-    violation exists; PSD W needs no violation search, its
-    ``best_value`` is its lowest eigenvalue.
+    is PPT to 1e-8 with unit trace and tr(W rho) < -tol_zero.  A split
+    that decomposes proves that no violation exists, and its
+    ``best_value`` is the bound it proves, -||Z||_F: for every PPT state
+    rho, tr(W rho) = tr(Z rho) + tr(P rho) + tr(Q rho^Gamma) >= tr(Z rho)
+    >= -||Z||_F.  PSD W needs no violation search, its ``best_value`` is
+    its lowest eigenvalue.
     """
     cfg = cfg or OptimizerConfig()
     if len(W.dims) != 2:
@@ -974,26 +976,25 @@ def ppt_violation_search(W, cfg=None):
     if lam >= -cfg.tol_zero:
         # tr(W rho) >= lambda_min >= -tol_zero for every state: no violation
         return PPTSearchResult(None, lam, True, 0, dec)
+    if dec.success:
+        return PPTSearchResult(None, -dec.residual, True, 1, dec)
     neg_z = dec.P.entries + _pt2(dec.Q.entries, dims) - w
     # every iterate has Z^Gamma <= 0, so tr(-Z) >= ||Z||_F: the trace
     # vanishes only on a split that ends exactly at Z = 0
     mass = float(neg_z.trace().real)
     if mass <= 0.0:
-        return PPTSearchResult(None, 0.0, dec.success, 1, dec)
+        return PPTSearchResult(None, 0.0, False, 1, dec)
     final = _mix_into_ppt(neg_z, dims)
     value = float((w @ final).trace().real)
+    lam_rho = float(np.linalg.eigvalsh(final)[0])
+    lam_pt = float(np.linalg.eigvalsh(_pt2(final, dims))[0])
+    tr_gap = abs(final.trace().real - 1.0)
     violation = None
-    if not dec.success:
-        lam_rho = float(np.linalg.eigvalsh(final)[0])
-        lam_pt = float(np.linalg.eigvalsh(_pt2(final, dims))[0])
-        tr_gap = abs(final.trace().real - 1.0)
-        if (
-            value < -cfg.tol_zero
-            and lam_rho >= -1e-8
-            and lam_pt >= -1e-8
-            and tr_gap <= 1e-10
-        ):
-            violation = PPTViolation(HermitianOperator(dims, final), value)
-    return PPTSearchResult(
-        violation, value, dec.success or violation is not None, 1, dec
-    )
+    if (
+        value < -cfg.tol_zero
+        and lam_rho >= -1e-8
+        and lam_pt >= -1e-8
+        and tr_gap <= 1e-10
+    ):
+        violation = PPTViolation(HermitianOperator(dims, final), value)
+    return PPTSearchResult(violation, value, violation is not None, 1, dec)

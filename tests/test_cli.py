@@ -12,6 +12,7 @@ from witnesskit import cli, families, lift, optimize
 from witnesskit.families import (
     bell_state_witness,
     choi_sigma,
+    pt_bell_witness_2x3,
     sigma1,
     two_block_witness,
     w_xyz,
@@ -244,7 +245,7 @@ def test_lift_rejects_non_finite_scalars(tmp_path, capsys, monkeypatch, mode, fl
     def no_norm(*args, **kwargs):
         raise AssertionError("operator_norm reached with a non-finite scalar")
 
-    # the scalars are refused before the lift's ARPACK norm runs
+    # the scalars are refused before the lift's Lanczos norm runs
     monkeypatch.setattr(lift, "operator_norm", no_norm)
     if mode == "witness":
         source = bell_state_witness()
@@ -255,6 +256,18 @@ def test_lift_rejects_non_finite_scalars(tmp_path, capsys, monkeypatch, mode, fl
     assert code == cli.EXIT_ERROR
     assert report["status"] == "error"
     assert "ValueError" in report["error"] and "finite" in report["error"]
+
+
+def test_lift_state_unsettled_norm_is_a_json_error(tmp_path, capsys, monkeypatch):
+    from witnesskit.operators import HermitianOperator
+
+    monkeypatch.setattr(lift, "_NORM_MAX_STEPS", 2)
+    rho = HermitianOperator((1, 2), np.eye(2) / 2.0)
+    path = _write_operator(tmp_path, "rho.json", rho)
+    code, report = _run(capsys, ["lift", path, "--mode", "state"])
+    assert code == cli.EXIT_ERROR
+    assert report["status"] == "error"
+    assert "ArithmeticError" in report["error"]
 
 
 def test_lift_state_rejects_oversize(tmp_path, capsys):
@@ -353,6 +366,21 @@ def test_decompose_runs_one_split(tmp_path, capsys, monkeypatch, op, decomposes)
     assert res["decomposition"]["residual"]["tolerance"] == 1e-7
     assert len(calls) == 1
     assert report["diagnostics"] == {"split_iterations": calls[0].iterations}
+
+
+@pytest.mark.parametrize("op", [two_block_witness(1.0, 1.0), pt_bell_witness_2x3()])
+def test_decompose_reports_the_proven_floor(tmp_path, capsys, op):
+    # a split that decomposes proves tr(W rho) >= -||Z||_F on every PPT
+    # state; that floor is the reported value, not a reading of -Z
+    path = _write_operator(tmp_path, "w.json", op)
+    code, report = _run(capsys, ["decompose", path])
+    assert code == cli.EXIT_OK
+    res = report["results"]
+    assert res["decomposition"]["success"] is True
+    residual = res["decomposition"]["residual"]["value"]
+    best = res["ppt_search"]["best_value"]
+    assert best["value"] == -residual
+    assert -best["tolerance"] <= best["value"] <= 0.0
 
 
 def test_decompose_twice_in_one_process(tmp_path, capsys):

@@ -2,9 +2,14 @@
 expectation identities behind the positivity argument, penalty
 bookkeeping, and the promotion of touching vectors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from witnesskit import lift
 from witnesskit.families import bell_state_witness
 from witnesskit.lift import (
     MAX_LIFT_TOTAL,
@@ -21,10 +26,17 @@ from witnesskit.operators import (
     DimensionError,
     HermitianOperator,
     inf_norm,
+    partial_transpose,
 )
 from witnesskit.optimize import OptimizerConfig, min_product_expectation
-from witnesskit.sampling import random_density, random_unit_vector, rng_for
+from witnesskit.sampling import (
+    random_density,
+    random_hermitian,
+    random_unit_vector,
+    rng_for,
+)
 from witnesskit.structured import (
+    ClassicalProjectorFactor,
     DenseFactor,
     IdentityFactor,
     StructuredOperator,
@@ -76,6 +88,76 @@ def test_operator_norm_matches_dense():
         assert operator_norm(S) == pytest.approx(ref, rel=1e-6)
 
 
+def _atom_sum(seed, d, slots, dense, swap, proj, shift):
+    """dense H (x) I + swap V (x) I + proj P_cl (x) I + shift I on
+    (C^d)^(x slots); the atoms carry degenerate eigenvalues."""
+    rest = d ** (slots - 1)
+    H = random_hermitian(rng_for(seed, 31), (d,)).entries
+    terms = [(dense, (DenseFactor(H), IdentityFactor(rest)))]
+    terms.append((shift, (IdentityFactor(d ** slots),)))
+    if slots >= 2:
+        tail = IdentityFactor(d ** (slots - 2))
+        terms.append((swap, (SwapFactor(d), tail)))
+        terms.append((proj, (ClassicalProjectorFactor(d), tail)))
+    return StructuredOperator((d,) * slots, terms)
+
+
+_weight = st.floats(-2.0, 2.0, allow_nan=False).map(lambda w: round(w, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(
+        [(2, 1), (5, 1), (2, 2), (3, 2), (4, 2), (6, 2), (3, 4), (4, 4), (5, 4)]
+    ),
+    dense=_weight,
+    swap=_weight,
+    proj=_weight,
+    shift=_weight,
+)
+# largest |lambda| negative: -1.5 (swap -1, shift -0.5) against +0.5
+@example(seed=1, shape=(4, 2), dense=0.0, swap=-1.0, proj=0.0, shift=-0.5)
+# degenerate top from atoms alone, at 1,296 dims: V + P_cl has
+# eigenvalue 2 with multiplicity d times the tail
+@example(seed=2, shape=(6, 4), dense=0.0, swap=1.0, proj=1.0, shift=0.0)
+# sides below 8, dense block only
+@example(seed=3, shape=(5, 1), dense=1.0, swap=0.0, proj=0.0, shift=-3.0)
+def test_operator_norm_matches_dense_eigvalsh(seed, shape, dense, swap, proj, shift):
+    S = _atom_sum(seed, *shape, dense, swap, proj, shift)
+    ref = float(np.abs(np.linalg.eigvalsh(S.to_dense())).max())
+    assert abs(operator_norm(S, seed=seed) - ref) <= 1e-8 * ref + 1e-14
+
+
+def test_operator_norm_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(lift, "_NORM_MAX_STEPS", 2)
+    S = _atom_sum(5, 4, 2, 1.0, 0.5, 0.25, 0.0)
+    with pytest.raises(ArithmeticError, match="did not settle in 2 steps"):
+        operator_norm(S)
+
+
+def test_operator_norm_holds_three_work_vectors():
+    # the memory contract: besides what one matvec needs, the norm holds
+    # q, the previous q and w, not a Krylov basis
+    S = _atom_sum(7, 8, 4, 1.0, 0.7, 0.4, 0.0)
+    vector = 16 * S.total_dim
+    x = random_unit_vector(rng_for(7), S.total_dim)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        S.matvec(x)
+        matvec_peak = tracemalloc.get_traced_memory()[1] - start
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        operator_norm(S)
+        norm_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert S.total_dim >= 4096
+    assert norm_peak <= matvec_peak + 3 * vector
+
+
 # ---------------------------------------------------------------------------
 # witness lift
 # ---------------------------------------------------------------------------
@@ -101,6 +183,35 @@ def test_lift_witness_reference_constant():
     assert lifted.constant == pytest.approx(2.0 * inf_norm(W) ** 4, abs=1e-12)
     assert lifted.projector_invariance_gap <= 1e-12
     assert len(lifted.operator.terms) == 4
+
+
+def _unitary(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return np.linalg.qr(g)[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 2), (2, 3)]),
+    ratio=st.floats(0.3, 1.0),
+    mix=st.floats(0.0, 0.05),
+)
+def test_witness_lift_norm_is_fourth_power(seed, dims, ratio, mix):
+    # W = (psi psi^dag)^Gamma + mix rho: psi has Schmidt coefficients
+    # (1, ratio) under random local unitaries, so W keeps a negative
+    # eigenvalue while product expectations stay nonnegative
+    rng = rng_for(seed, 33)
+    d_a, d_b = dims
+    schmidt = np.array([1.0, ratio]) / np.hypot(1.0, ratio)
+    u, v = _unitary(rng, d_a), _unitary(rng, d_b)
+    psi = sum(c * np.kron(u[:, k], v[:, k]) for k, c in enumerate(schmidt))
+    pure = HermitianOperator(dims, np.outer(psi, psi.conj()))
+    W = partial_transpose(pure) + mix * random_density(rng, dims)
+    lifted = lift_witness(W, cfg=OptimizerConfig(restarts=4, seed=0))
+    closed = inf_norm(W) ** 4
+    assert abs(operator_norm(lifted.symmetric_part) - closed) <= 1e-8 * closed
+    assert lifted.y_norm == pytest.approx(closed, rel=1e-14)
 
 
 def test_lift_witness_dense_agreement():
