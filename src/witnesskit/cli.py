@@ -148,6 +148,7 @@ def cmd_minprod(args):
                 "restarts_used": int(res.restarts_used),
                 "restarts_converged": int(res.restarts_converged),
             },
+            "diagnostics": {"sweeps_max": int(res.sweeps_max)},
             "status": "pass" if res.converged else "indeterminate",
         }
     )

@@ -40,6 +40,24 @@ can only be lambda_1 (the 256-dim probe: 158 of a restart's 160
 half-steps).  Otherwise ``zheevr`` solves the half-step and reseeds
 the bound.
 
+Plain sweeps are alternating least squares, which crawls through flat
+valleys: on Choi sigma, 19 of 64 restarts at seed 0 reached the
+1,000-sweep cap still above the floor.  So on halves of up to
+``_STACKED_EIGH_MAX_SIDE`` dims a row also takes a safeguarded line
+extrapolation, the standard cure for such ALS swamps (Rajih, Comon &
+Harshman, SIAM J. Matrix Anal. Appl. 30, 2008), at sweep
+``_JUMP_FIRST`` and every ``_JUMP_EVERY`` sweeps after
+(``_extrapolate``).  Along the last sweep's phase-aligned step, the best
+of a geometric grid of points normalize(u + s du) (x)
+normalize(v + s dv), s from 1/8 to about 4.2e6, replaces the row only
+if its exact product value lies below the row's by more than
+tol_converge (1 + |value|).  An accepted point is a feasible unit
+product vector with a lower value, so the objective stays
+non-increasing and the guard is unchanged; convergence is still one
+plain sweep's drop, measured from the accepted point.  Larger halves
+(the 16-dim lifted witness, the 256-dim state-lift probe) and operators
+with bridge terms never take the step.
+
 Also here: an epsilon-net oracle that cross-checks the see-saw (a net
 over the smaller factor, an exact eigensolve on the other), and one
 Moreau split of a witness over the PPT cone, W = Z + P + Q^Gamma with
@@ -119,9 +137,10 @@ class MinProdResult:
     ``converged`` reports whether the winning restart met the sweep
     tolerance before hitting max_sweeps; a cap-limited restart is never
     silently promoted.  ``restarts_converged`` counts the restarts, of
-    ``restarts_used``, that met it.  For max_product_expectation the
-    same container is returned with maximization semantics (value is
-    the max, argmin holds the argmax).
+    ``restarts_used``, that met it, and ``sweeps_max`` is the most
+    sweeps any restart ran (``max_sweeps`` when one hit the cap).  For
+    max_product_expectation the same container is returned with
+    maximization semantics (value is the max, argmin holds the argmax).
     """
 
     value: float
@@ -129,6 +148,7 @@ class MinProdResult:
     converged: bool
     restarts_used: int
     restarts_converged: int
+    sweeps_max: int
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +362,7 @@ class _Restart:
     v: np.ndarray
     converged: bool
     index: int
+    sweeps: int
 
 
 _HEEVR, _HEEVR_LWORK = get_lapack_funcs(("heevr", "heevr_lwork"), dtype=np.complex128)
@@ -564,6 +585,96 @@ def _start_table(seed, d_a, d_b, lo, hi):
     return table
 
 
+# Line extrapolation of see-saw rows on halves up to _STACKED_EIGH_MAX_SIDE
+# (``_extrapolate``).  The steps s of the grid, 64 points geometric from
+# 1/8 to 2^22 (about 4.2e6).  Accepted steps on Choi sigma (64 restarts,
+# seeds 0, 1, 7: 478 jumps) have median 1.1 and reach 5.7e3; on 40
+# separable (2,2) and (2,3) draws like the benchmark's window tasks
+# (8,518 jumps) the median is 0.5, with a tenth at the floor 1/8.  On 60
+# such draws a grid of 32 points ran 7% more row-sweeps, one of 128
+# points 4% fewer; scoring costs nearly the same for any grid size.
+_JUMP_STEPS = np.geomspace(0.125, 2.0**22, 64)
+# Sweeps (1-based) that end with a jump: _JUMP_FIRST, then every
+# _JUMP_EVERY.  Choi sigma at seeds 0, 1, 7 converges in at most 17-18
+# sweeps; a jump every sweep needs 272-692, since the sweep right after
+# a jump is a correction, not a direction, and a first jump at 12, then
+# every 6, needs 26.  Against later schedules, jumps from sweep 4 cut
+# the benchmark's window see-saws, most of which converge within 10-20
+# plain sweeps, by more sweeps than the jumps cost (a jump on 32 rows
+# costs one to one and a half sweeps).
+_JUMP_FIRST = 4
+_JUMP_EVERY = 3
+# weights of the 16 coefficients of a line's value at each step of the
+# grid, shape (16, S): a form over (w, dw) weighs its four entries by
+# t_i t_j with t = (1, s), and a value multiplies one form of each half
+_JUMP_POWERS = np.einsum(
+    "is,js,ks,ls->ijkls", *[np.stack([np.ones_like(_JUMP_STEPS), _JUMP_STEPS])] * 4
+).reshape(16, _JUMP_STEPS.size)
+
+
+def _product_values(kernel, U, V):
+    """<u,v|X|u,v> for each row of the stacks U ``(n, d_a)``, V ``(n, d_b)``."""
+    return np.einsum("ni,nij,nj->n", V.conj(), kernel.cond_a(U), V).real
+
+
+def _line_forms(pinned, W, W0):
+    """The row pairs y = (w, dw) of a line extrapolation, with w phase-
+    aligned to w0 (an eigensolver returns each vector up to a phase) and
+    dw = w - w0, and their quadratic forms: ``forms`` ``(n, 4, r)`` holds
+    Re<y_i|H_k|y_j> for each Hermitian row H_k of ``pinned``
+    ``(r, d*d)``, ``gram`` ``(n, 4)`` holds Re<y_i|y_j>, (i, j) in C
+    order.  The stacked outer products y_i y_j^H hold 4 n d^2 entries."""
+    n = W.shape[0]
+    overlap = np.einsum("ni,ni->n", W0.conj(), W)
+    size = np.abs(overlap)
+    phase = np.divide(overlap.conj(), size, out=np.ones_like(overlap), where=size > 0)
+    W = W * phase[:, None]
+    Y = np.stack((W, W - W0), axis=1)
+    P = Y[:, :, None, :, None] * Y.conj()[:, None, :, None, :]
+    proj = P.view(np.float64).reshape(4 * n, -1)
+    forms = _DGEMM(1.0, proj, pinned.view(np.float64), trans_b=1)
+    gram = np.einsum("nijpp->nij", P).real.reshape(n, 4)
+    return Y, forms.reshape(n, 4, -1), gram
+
+
+def _extrapolate(kernel, U0, V0, U, V, value, tol):
+    """One safeguarded line extrapolation of every row of a stack.
+
+    With u and v phase-aligned to the sweep's starts u0 and v0, and
+    du = u - u0, dv = v - v0, a row's candidates are
+    normalize(u + s du) (x) normalize(v + s dv) for s in
+    ``_JUMP_STEPS``.  On the split X = sum_k c_k L_k (x) R_k a
+    candidate's value is sum_k c_k N_k(s) M_k(s) / (|u + s du|^2
+    |v + s dv|^2), N_k and M_k quadratic in s with coefficients from
+    ``_line_forms``, so one GEMM per half and one product of (n, 16)
+    coefficients with ``_JUMP_POWERS`` score the whole grid.  The best
+    candidate's exact value is then taken through the kernel, and the
+    row moves there only if that value lies below the row's by more than
+    tol (1 + |value|).  Returns (U, V, value); rows run in chunks whose
+    outer-product stacks stay within ``_STACK_ENTRIES`` entries.
+    """
+    U, V, value = U.copy(), V.copy(), value.copy()
+    chunk = max(1, _STACK_ENTRIES // (4 * max(kernel.d_a, kernel.d_b) ** 2))
+    for lo in range(0, value.size, chunk):
+        rows = slice(lo, lo + chunk)
+        Yu, forms_u, gram_u = _line_forms(kernel._left, U[rows], U0[rows])
+        Yv, forms_v, gram_v = _line_forms(kernel._right, V[rows], V0[rows])
+        n = len(Yu)
+        coeffs = np.matmul(forms_u * kernel._coeffs, forms_v.transpose(0, 2, 1))
+        norms = gram_u[:, :, None] * gram_v[:, None, :]
+        scores = (coeffs.reshape(n, 16) @ _JUMP_POWERS) / (norms.reshape(n, 16) @ _JUMP_POWERS)
+        s = _JUMP_STEPS[scores.argmin(axis=1)][:, None]
+        cand_u = Yu[:, 0] + s * Yu[:, 1]
+        cand_v = Yv[:, 0] + s * Yv[:, 1]
+        cand_u /= np.linalg.norm(cand_u, axis=1, keepdims=True)
+        cand_v /= np.linalg.norm(cand_v, axis=1, keepdims=True)
+        exact = _product_values(kernel, cand_u, cand_v)
+        here = value[rows]
+        take = exact < here - tol * (1.0 + np.abs(here))
+        U[rows][take], V[rows][take], here[take] = cand_u[take], cand_v[take], exact[take]
+    return U, V, value
+
+
 def _seesaw_rows(kernel, cfg, lo, hi):
     """Restarts ``lo..hi-1`` as one stack of rows, a row per restart.
 
@@ -572,6 +683,17 @@ def _seesaw_rows(kernel, cfg, lo, hi):
     ``max_sweeps`` cap; it leaves the stack once it converges.  When
     either half has ``_KRYLOV_MIN_SIDE`` dims or more, a row carries one
     ``_GapBound`` per half (a smaller half never reads its own).
+
+    When both halves have at most ``_STACKED_EIGH_MAX_SIDE`` dims and the
+    kernel has no bridge terms, the rows still active after the
+    convergence test of sweep ``_JUMP_FIRST``, and of every
+    ``_JUMP_EVERY``-th sweep after, take one ``_extrapolate`` step along
+    their last sweep's step.  A row moves only to a point whose exact
+    product value, taken through the kernel, lies below its own by more
+    than tol_converge (1 + |value|); that value becomes the row's value
+    and the start of the next sweep's drop.  So the guard still holds
+    every half-step to the last value, and a row converges only on a
+    plain sweep that moves it by at most the tolerance.
     """
     idx = np.arange(lo, hi)
     table = _start_table(cfg.seed, kernel.d_a, kernel.d_b, lo, hi)
@@ -582,13 +704,17 @@ def _seesaw_rows(kernel, cfg, lo, hi):
     bounds = np.empty((idx.size, 2), dtype=object)  # None: no bound
     if max(kernel.d_a, kernel.d_b) >= _KRYLOV_MIN_SIDE:
         bounds.flat = [_GapBound() for _ in range(bounds.size)]
+    # bridge terms have no split halves to score a line with
+    jumps = max(kernel.d_a, kernel.d_b) <= _STACKED_EIGH_MAX_SIDE and not kernel._bridges
     prev_sweep = value
     runs = []
-    for sweep in range(cfg.max_sweeps):
+    for sweep in range(1, cfg.max_sweeps + 1):
+        jump = jumps and sweep >= _JUMP_FIRST and (sweep - _JUMP_FIRST) % _JUMP_EVERY == 0
+        U0, V0 = U, V  # half-steps replace U and V, never write into them
         for half in ("A", "B"):
             # each solve starts from the vector it replaces
             if half == "A":
-                if sweep:
+                if sweep > 1:
                     M = kernel.cond_a(U)
                 lam, V = _ground_pairs(M, V, bounds[:, 0])
             else:
@@ -601,17 +727,20 @@ def _seesaw_rows(kernel, cfg, lo, hi):
         done = np.abs(prev_sweep - value) <= cfg.tol_converge * (1.0 + np.abs(value))
         if done.any():
             runs += [
-                _Restart(float(value[i]), U[i], V[i], True, int(idx[i]))
+                _Restart(float(value[i]), U[i], V[i], True, int(idx[i]), sweep)
                 for i in np.flatnonzero(done)
             ]
             active = ~done
             U, V, value, idx = U[active], V[active], value[active], idx[active]
-            bounds = bounds[active]
+            U0, V0, bounds = U0[active], V0[active], bounds[active]
             if not idx.size:
                 break
+        if jump:
+            U, V, value = _extrapolate(kernel, U0, V0, U, V, value, cfg.tol_converge)
         prev_sweep = value
     runs += [
-        _Restart(float(value[i]), U[i], V[i], False, int(idx[i])) for i in range(idx.size)
+        _Restart(float(value[i]), U[i], V[i], False, int(idx[i]), cfg.max_sweeps)
+        for i in range(idx.size)
     ]
     return runs
 
@@ -648,6 +777,7 @@ def min_product_expectation(X, cfg=None, dims=None):
         converged=best.converged,
         restarts_used=cfg.restarts,
         restarts_converged=sum(run.converged for run in runs),
+        sweeps_max=max(run.sweeps for run in runs),
     )
 
 
@@ -667,6 +797,7 @@ def max_product_expectation(X, cfg=None, dims=None):
         converged=res.converged,
         restarts_used=res.restarts_used,
         restarts_converged=res.restarts_converged,
+        sweeps_max=res.sweeps_max,
     )
 
 

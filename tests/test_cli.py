@@ -141,6 +141,8 @@ def test_minprod_choi_value(tmp_path, capsys):
     assert res["value"]["value"] == pytest.approx(2.0, abs=1e-6)
     assert res["converged"] is True
     assert res["restarts_used"] == 32
+    assert res["restarts_converged"] == 32
+    assert 1 <= report["diagnostics"]["sweeps_max"] <= 100
     u = np.asarray(res["argmin"]["u"]["re"]) + 1j * np.asarray(
         res["argmin"]["u"]["im"]
     )

@@ -45,6 +45,7 @@ from witnesskit.optimize import (
 from witnesskit.sampling import (
     random_density,
     random_hermitian,
+    random_product_mixture,
     random_unit_vector,
     rng_for,
 )
@@ -509,15 +510,136 @@ def test_seesaw_guard_catches_one_rising_row(monkeypatch):
 
 
 def test_minprod_counts_converged_restarts():
-    # Choi sigma at 64 restarts, seed 0: 19 restarts crawl to the sweep cap
+    # Choi sigma at 64 restarts, seed 0: without line extrapolation 19
+    # restarts crawl to the sweep cap; with it every restart converges
     cfg = OptimizerConfig(restarts=64, seed=0)
     lo = min_product_expectation(choi_sigma(), cfg)
     assert lo.converged
-    assert (lo.restarts_used, lo.restarts_converged) == (64, 45)
+    assert (lo.restarts_used, lo.restarts_converged) == (64, 64)
+    runs = optimize._seesaw_all(choi_sigma(), cfg)
+    assert lo.sweeps_max == max(run.sweeps for run in runs) == 17
+    assert min(run.sweeps for run in runs) == 8
     hi = max_product_expectation(sigma1(), CFG)
     assert hi.restarts_converged == sum(
         run.converged for run in optimize._seesaw_all(-sigma1(), CFG)
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_choi_sigma_converges_every_restart_within_100_sweeps(seed):
+    # Choi sigma's flat valley holds plain see-saw restarts at the
+    # 1,000-sweep cap; the line extrapolation brings each to the floor
+    cfg = OptimizerConfig(restarts=64, seed=seed, max_sweeps=100)
+    for X in (choi_sigma(), partial_transpose(choi_sigma())):
+        res = min_product_expectation(X, cfg)
+        assert res.restarts_converged == 64
+        assert res.sweeps_max < 100
+        assert abs(res.value - 2.0) <= 1e-9
+
+
+def test_extrapolation_skips_large_halves_and_bridge_terms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("line extrapolation ran")
+
+    monkeypatch.setattr(optimize, "_extrapolate", refuse)
+    cfg = OptimizerConfig(restarts=4, seed=0, max_sweeps=40)
+    for dims in ((9, 9), (2, 9)):  # dense, no bridge terms
+        res = min_product_expectation(random_hermitian(rng_for(83), dims), cfg)
+        assert res.sweeps_max > optimize._JUMP_FIRST
+    # 4-dim halves, but a swap bridge term has no split halves to score
+    rng = rng_for(87)
+    split = (
+        DenseFactor(random_hermitian(rng, (2,)).entries),
+        IdentityFactor(2),
+        DenseFactor(random_hermitian(rng, (4,)).entries),
+    )
+    S = StructuredOperator((2, 2, 2, 2), [(1.0, (SwapFactor(4),)), (0.5, split)])
+    assert min_product_expectation(S, cfg).sweeps_max > optimize._JUMP_FIRST
+    lifted = lift_witness(bell_state_witness(), cfg=cfg)
+    res = min_product_expectation(lifted.operator, cfg, dims=(16, 16))
+    assert res.sweeps_max > optimize._JUMP_FIRST
+    rho = HermitianOperator((2, 2), np.eye(4) / 4.0)
+    small = OptimizerConfig(restarts=1, seed=0, max_sweeps=optimize._JUMP_FIRST + 1)
+    state = lift_state(rho, 1.0, 1.0, 1.0, cfg=small)
+    res = min_product_expectation(state.operator, small, dims=(256, 256))
+    assert res.sweeps_max == small.max_sweeps
+
+
+def test_extrapolation_only_lowers_values_and_ignores_phases():
+    # rows one plain sweep past random starts: a row moves only to a
+    # point whose exact value is lower by more than the tolerance, and
+    # the phases an eigensolver gives u and v change nothing
+    X = random_hermitian(rng_for(85), (2, 3))
+    kernel = _SplitKernel(X)
+    rng = rng_for(86)
+    U0 = np.array([random_unit_vector(rng, 2) for _ in range(40)])
+    V0 = np.array([random_unit_vector(rng, 3) for _ in range(40)])
+    _, V = optimize._ground_pairs(kernel.cond_a(U0), V0, [None] * 40)
+    _, U = optimize._ground_pairs(kernel.cond_b(V), U0, [None] * 40)
+    value = optimize._product_values(kernel, U, V)
+    tol = 1e-12
+    U1, V1, value1 = optimize._extrapolate(kernel, U0, V0, U, V, value, tol)
+    moved = value1 != value
+    assert moved.any() and not moved.all()
+    assert np.all(value1[moved] < value[moved] - tol * (1.0 + np.abs(value[moved])))
+    np.testing.assert_array_equal(U1[~moved], U[~moved])
+    np.testing.assert_array_equal(V1[~moved], V[~moved])
+    for u, v, val in zip(U1, V1, value1):
+        assert abs(product_expectation(X, ProductVector(u, v)) - val) <= 1e-12 * (1.0 + abs(val))
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (2, 40, 1)))
+    _, _, value2 = optimize._extrapolate(
+        kernel, U0, V0, U * phases[0], V * phases[1], value, tol
+    )
+    np.testing.assert_allclose(value2, value1, rtol=1e-12, atol=1e-12)
+
+
+def test_extrapolation_stacks_stay_within_stack_entries(monkeypatch):
+    # 8-dim halves: a see-saw chunk holds 1,024 rows, and a jump scores
+    # its rows in chunks whose outer-product and conditioned-matrix
+    # stacks stay within _STACK_ENTRIES complex entries
+    line_forms, product_values = optimize._line_forms, optimize._product_values
+    sizes = {"forms": [], "values": []}
+
+    def forms(pinned, W, W0):
+        sizes["forms"].append(4 * W.size * W.shape[1])
+        return line_forms(pinned, W, W0)
+
+    def values(kernel, U, V):
+        sizes["values"].append(len(U) * kernel.d_b**2)
+        return product_values(kernel, U, V)
+
+    monkeypatch.setattr(optimize, "_line_forms", forms)
+    monkeypatch.setattr(optimize, "_product_values", values)
+    X = random_hermitian(rng_for(81), (8, 8))
+    cfg = OptimizerConfig(restarts=300, seed=2, max_sweeps=optimize._JUMP_FIRST)
+    optimize._seesaw_all(X, cfg)
+    assert sizes["forms"] and sizes["values"]
+    assert max(sizes["forms"]) == optimize._STACK_ENTRIES  # a full chunk ran
+    assert max(sizes["values"]) <= optimize._STACK_ENTRIES
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4)]),
+    mixture=st.booleans(),
+)
+def test_minprod_is_attained_and_above_both_spectra(seed, dims, mixture):
+    # the value is a product expectation at the returned argmin, and no
+    # product expectation lies below lambda_min of sigma or of sigma^Gamma:
+    # <u,v|sigma|u,v> = <u,conj v|sigma^Gamma|u,conj v>
+    rng = rng_for(seed)
+    if mixture:
+        X = random_product_mixture(rng, dims, 1 + seed % 5)
+    else:
+        X = random_hermitian(rng, dims)
+    res = min_product_expectation(X, OptimizerConfig(restarts=8, seed=seed))
+    assert abs(product_expectation(X, res.argmin) - res.value) <= 1e-12 * (1.0 + abs(res.value))
+    floor = max(
+        np.linalg.eigvalsh(X.entries)[0],
+        np.linalg.eigvalsh(partial_transpose(X).entries)[0],
+    )
+    assert floor <= res.value + 1e-12
 
 
 def test_seesaw_rejects_non_bipartite_dense():
