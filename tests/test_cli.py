@@ -149,6 +149,15 @@ def test_minprod_choi_value(tmp_path, capsys):
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_minprod_rejects_restarts_above_the_work_budget(tmp_path, capsys):
+    # a count of 10^9 used to run the see-saw until killed
+    path = _write_operator(tmp_path, "choi.json", choi_sigma())
+    code, report = _run(capsys, ["minprod", path, "--restarts", "1000000000"])
+    assert code == cli.EXIT_ERROR
+    assert report["status"] == "error"
+    assert report["error"] == "ValueError: restarts must be between 1 and 4096"
+
+
 def test_minprod_max_flag(tmp_path, capsys):
     path = _write_operator(tmp_path, "s1.json", sigma1())
     _, lo = _run(capsys, ["minprod", path])

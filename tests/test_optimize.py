@@ -3,6 +3,7 @@ collection, the grid cross-check, PPT violation search, and the
 decomposition splitter."""
 
 import itertools
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -75,6 +76,9 @@ def test_config_validation():
             OptimizerConfig(tol_converge=bad)
     with pytest.raises(ValueError):
         OptimizerConfig(max_sweeps=0)
+    assert OptimizerConfig(restarts=4096).restarts == 4096
+    with pytest.raises(ValueError, match="4096"):
+        OptimizerConfig(restarts=4097)
 
 
 def test_minprod_known_floor():
@@ -458,6 +462,7 @@ def test_minprod_same_on_cold_and_warm_start_tables():
     optimize._start_table.cache_clear()
     cold = min_product_expectation(X, cfg)
     assert optimize._start_table.cache_info().misses == 1
+    optimize._SEESAW_MEMO.clear()  # else the repeat is served by the memo
     warm = min_product_expectation(X, cfg)
     assert optimize._start_table.cache_info().hits == 1
     _same_minprod(cold, warm)
@@ -482,13 +487,91 @@ def test_writes_into_results_do_not_reach_the_start_tables():
 
 
 def test_start_table_cache_holds_at_most_its_bound():
+    # and so does the see-saw memo, which drops its oldest entry first
     X = random_hermitian(rng_for(75), (2, 2))
     optimize._start_table.cache_clear()
     assert optimize._start_table.cache_info().maxsize == optimize._START_TABLES
     for seed in range(2 * optimize._START_TABLES):
         min_product_expectation(X, OptimizerConfig(restarts=2, seed=seed))
         assert optimize._start_table.cache_info().currsize <= optimize._START_TABLES
+        assert len(optimize._SEESAW_MEMO) <= optimize._START_TABLES
     assert optimize._start_table.cache_info().currsize == optimize._START_TABLES
+    seeds = [key[2].seed for key in optimize._SEESAW_MEMO]
+    assert seeds == list(range(optimize._START_TABLES, 2 * optimize._START_TABLES))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+    c=st.floats(-2.0, 2.0),
+    mixture=st.booleans(),
+)
+def test_shift_served_minprod_matches_a_cold_search(seed, dims, c, mixture):
+    # <u,v|X - cI|u,v> = <u,v|X|u,v> - c on unit products: after a search
+    # on X, the search on X - cI starts from X's end points, draws no
+    # seeded starts, and lands where a cold search does
+    rng = rng_for(seed)
+    if mixture:
+        X = random_product_mixture(rng, dims, 1 + seed % 5)
+    else:
+        X = random_hermitian(rng, dims)
+    Y = X.shifted(c)
+    cfg = OptimizerConfig(restarts=8, seed=seed)
+    optimize._SEESAW_MEMO.clear()  # the autouse fixture runs per test, not per example
+    cold = min_product_expectation(Y, cfg)
+    optimize._SEESAW_MEMO.clear()
+    min_product_expectation(X, cfg)
+    with (
+        mock.patch.object(optimize, "_start_table", side_effect=AssertionError("cold start")),
+        mock.patch.object(optimize, "_seesaw_rows", wraps=optimize._seesaw_rows) as rows,
+    ):
+        served = min_product_expectation(Y, cfg)
+    # the see-saw runs on Y itself, unless c is too small to move an entry
+    assert rows.called == (not np.array_equal(Y.entries, X.entries))
+    assert abs(served.value - cold.value) <= 1e-12 * (1.0 + abs(cold.value))
+    attained = product_expectation(Y, served.argmin)
+    assert abs(attained - served.value) <= 1e-12 * (1.0 + abs(served.value))
+    assert served.restarts_converged >= cold.restarts_converged
+    # only cold results are stored: the memo still holds X's search
+    ((diag, _),) = optimize._SEESAW_MEMO.values()
+    np.testing.assert_array_equal(diag, X.entries.diagonal().real)
+
+
+def test_memo_misses_on_a_non_scalar_diagonal_or_another_config():
+    X = random_hermitian(rng_for(91), (2, 3))
+    cfg = OptimizerConfig(restarts=6, seed=2)
+    first = min_product_expectation(X, cfg)
+    bumped = X.shifted(0.25).entries.copy()
+    bumped[0, 0] += 1e-9
+    changed = {
+        "restarts": 7, "seed": 3, "tol_converge": 1e-11, "tol_zero": 1e-6, "max_sweeps": 999,
+    }
+    misses = [(HermitianOperator(X.dims, bumped), cfg)]
+    misses += [(X, replace(cfg, **{name: value})) for name, value in changed.items()]
+    with mock.patch.object(optimize, "_start_table", wraps=optimize._start_table) as table:
+        _same_minprod(min_product_expectation(X, cfg), first)
+        assert table.call_count == 0
+        for Y, other in misses:
+            min_product_expectation(Y, other)
+    assert table.call_count == len(misses)
+
+
+def test_structured_and_large_dense_operators_bypass_the_memo():
+    rng = rng_for(93)
+    split = (
+        DenseFactor(random_hermitian(rng, (2,)).entries),
+        IdentityFactor(2),
+        DenseFactor(random_hermitian(rng, (4,)).entries),
+    )
+    S = StructuredOperator((2, 2, 2, 2), [(0.5, split)])
+    large = random_hermitian(rng, (16, 16))  # 65,536 entries
+    cfg = OptimizerConfig(restarts=2, seed=0, max_sweeps=3)
+    with mock.patch.object(optimize, "_start_table", wraps=optimize._start_table) as table:
+        for X in (S, S, large, large):
+            min_product_expectation(X, cfg)
+    assert table.call_count == 4
+    assert not optimize._SEESAW_MEMO
 
 
 def test_seesaw_guard_catches_one_rising_row(monkeypatch):
@@ -640,6 +723,18 @@ def test_minprod_is_attained_and_above_both_spectra(seed, dims, mixture):
         np.linalg.eigvalsh(partial_transpose(X).entries)[0],
     )
     assert floor <= res.value + 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3)]))
+def test_minprod_is_invariant_under_partial_transpose(seed, dims):
+    # (u, v) -> (u, conj v) maps the product landscape of X onto that of
+    # X^Gamma, so the two product infima are one number
+    X = random_hermitian(rng_for(seed), dims)
+    cfg = OptimizerConfig(restarts=16, seed=seed)
+    a = min_product_expectation(X, cfg).value
+    b = min_product_expectation(partial_transpose(X), cfg).value
+    assert abs(a - b) <= 1e-9
 
 
 def test_seesaw_rejects_non_bipartite_dense():
