@@ -188,16 +188,17 @@ def _lift_probes(lifted, cfg):
 def cmd_lift(args):
     cfg = _config(args)
     X = load_operator(args.source)
+    # four copies of a witness, or of the state pair rho (x) rho
+    total = X.side ** (4 if args.mode == "witness" else 8)
+    if args.dump_dense and total > DENSE_SIDE_CAP:
+        raise ValueError(
+            f"dense dump refused: lifted dimension {total} exceeds {DENSE_SIDE_CAP}"
+        )
     if args.mode == "witness":
         lifted = lift_witness(X, C=args.constant, cfg=cfg)
     else:
         lifted = lift_state(
             X, args.alpha, args.beta, args.gamma, C=args.constant, cfg=cfg
-        )
-    total = int(np.prod(lifted.space))
-    if args.dump_dense and total > DENSE_SIDE_CAP:
-        raise ValueError(
-            f"dense dump refused: lifted dimension {total} exceeds {DENSE_SIDE_CAP}"
         )
     results = {
         "mode": args.mode,

@@ -37,7 +37,7 @@ from .operators import (
     eig_hermitian,
     inf_norm,
 )
-from .optimize import OptimizerConfig
+from .optimize import OptimizerConfig, _lanczos
 from .sampling import random_unit_vector, rng_for
 from .structured import (
     BlockReversalFactor,
@@ -77,10 +77,8 @@ _NORM_MAX_STEPS = 500
 def operator_norm(S, seed=0):
     """Largest |eigenvalue| of a Hermitian ``StructuredOperator``.
 
-    A plain three-term Lanczos recurrence on the structured matvec from
-    a seeded start vector.  It holds three work vectors (q, the previous
-    q and w = S q) besides the matvec's own, plus the scalar
-    coefficients alpha_k, beta_k of the tridiagonal T_k.  After k steps
+    ``optimize._lanczos`` on the structured matvec from a seeded start
+    vector: three work vectors besides the matvec's own.  After k steps
     let theta be the Ritz value of T_k of largest |theta| and s_k the
     last entry of its unit eigenvector; S has an eigenvalue within
     beta_k |s_k| of theta.  The iteration stops once beta_k |s_k| <=
@@ -98,23 +96,16 @@ def operator_norm(S, seed=0):
     ``_NORM_MAX_STEPS`` steps.
     """
     rng = rng_for(seed, 9090)
-    q = random_unit_vector(rng, S.total_dim)
-    w = S.matvec(q)
-    for _ in range(2):
-        if np.linalg.norm(w) >= 1e-300:
+    for _ in range(3):
+        steps = _lanczos(S.matvec, random_unit_vector(rng, S.total_dim))
+        alphas, betas, beta, _ = next(steps)
+        if math.hypot(alphas[0], beta) >= 1e-300:
             break
         # start vector fell into the kernel; a couple of fresh draws
         # distinguish the zero operator from bad luck
-        q = random_unit_vector(rng, S.total_dim)
-        w = S.matvec(q)
     else:
         return 0.0
-    alphas, betas = [], []
     for _ in range(_NORM_MAX_STEPS):
-        alpha = float(np.vdot(q, w).real)
-        alphas.append(alpha)
-        w -= alpha * q
-        beta = float(np.linalg.norm(w))
         ends = [
             eigh_tridiagonal(alphas, betas, select="i", select_range=(i, i))
             for i in (0, len(alphas) - 1)
@@ -123,11 +114,7 @@ def operator_norm(S, seed=0):
         theta = float(vals[0])
         if beta * abs(vecs[-1, 0]) <= _NORM_RTOL * abs(theta):
             return abs(theta)
-        betas.append(beta)
-        w /= beta
-        q_prev, q = q, w
-        w = S.matvec(q)
-        w -= beta * q_prev
+        alphas, betas, beta, _ = next(steps)
     raise ArithmeticError(
         f"operator norm iteration did not settle in {_NORM_MAX_STEPS} steps"
     )

@@ -25,20 +25,15 @@ there because matrices that small never start a BLAS thread pool.  Larger
 halves solve row by row with LAPACK's MRRR driver ``zheevr`` for the
 lowest eigenvalue alone rather than a full ``eigh`` (about 3x cheaper
 at 256 dims).  Halves of ``_KRYLOV_MIN_SIDE`` (128) dims and up first
-try a capped ARPACK Lanczos run started from the previous iterate,
-which sits next to the answer, so it converges in a few matvecs when
-the spectral gap is wide (the 256-dim state-lift probe: 7 matvecs).
-Its answer is certified, or replaced by ``zheevr``: the residual must
-be at most delta = 1e-9 (1 + |lambda|), which puts an eigenvalue within
-delta of lambda, and that eigenvalue must be proven the lowest.  The
-one proof is a carried gap bound: each row carries, per half, a proven
-lower bound on the second eigenvalue of the matrix it last solved.
-``zheevr`` seeds it with lambda_2 on the row's first half-step, and by
-Weyl's inequality every later half-step lowers it by ||M - M_prev||_F.
-While lambda + delta lies below that bound, the eigenvalue near lambda
-can only be lambda_1 (the 256-dim probe: 158 of a restart's 160
-half-steps).  Otherwise ``zheevr`` solves the half-step and reseeds
-the bound.
+try a capped Lanczos run (``_lanczos``) from the previous iterate,
+which sits next to the answer.  Its pair is kept only if its residual
+puts an eigenvalue within delta = 1e-9 (1 + |lambda|) of lambda and a
+carried gap bound proves that eigenvalue the lowest: each row carries,
+per half, a proven lower bound on lambda_2 of the matrix it last
+solved, seeded by ``zheevr`` and lowered by ||M - M_prev||_F at each
+later half-step (Weyl's inequality).  Otherwise ``zheevr`` solves the
+half-step and reseeds the bound.  The 256-dim state-lift probe
+certifies 158 of a restart's 160 half-steps, in 3 Lanczos steps each.
 
 Plain sweeps are alternating least squares, which crawls through flat
 valleys: on Choi sigma, 19 of 64 restarts at seed 0 reached the
@@ -74,12 +69,12 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+from scipy.linalg import eigh_tridiagonal, get_blas_funcs, get_lapack_funcs
 
 from .operators import (
     DENSE_SIDE_CAP,
@@ -394,18 +389,39 @@ _ZHEMV, _ZNRM2, _ZDOTC, _ZCOPY, _ZAXPY = get_blas_funcs(
 )
 _EPS = np.finfo(np.float64).eps
 
-# Halves from this side up try the warm-started Krylov solve first.  On a
-# matrix whose ground gap is half its spread, from a start 1e-2 off the
-# ground vector (one BLAS thread), a certified ARPACK answer costs 0.68 ms
-# against 0.34 ms for zheevr at 64, 1.3 against 1.8 ms at 128 and 3.8
-# against 11.5 ms at 256; the witness lift's 16-dim halves stay on
-# zheevr (20 us).  Six Lanczos vectors converge on the 256-dim state-lift
-# probe in 7 matvecs.  The cap of 20 ARPACK restarts (about 100 matvecs)
-# keeps a failed try cheaper than the zheevr it falls back to: 6.3 ms
-# against 10.9 ms on a small-gap random matrix at 256.
+# Halves from this side up try the warm-started Krylov solve first.  With
+# a ground gap half the spread and a start 1e-2 off the ground vector (one
+# BLAS thread), a certified answer costs 0.39/0.53/0.92 ms against
+# 0.23/1.1/6.6 ms for zheevr at side 64/128/256.  The cap of 20 steps keeps
+# a failed try below zheevr: 0.93/1.5 ms on small-gap random 128/256 input.
 _KRYLOV_MIN_SIDE = 128
-_KRYLOV_NCV = 6
-_KRYLOV_MAXITER = 20
+_KRYLOV_MAX_STEPS = 20
+
+
+def _lanczos(matvec, q):
+    """Three-term Lanczos recurrence of a Hermitian ``matvec`` from the
+    unit vector q, holding only q, the previous q and w = matvec(q).
+
+    Step k yields ``(alphas, betas, beta, q)``: T_k's diagonal and
+    off-diagonal (lists grown in place), the residual norm beta_k and
+    the k-th Lanczos vector q, never written again; a Ritz pair
+    (theta, Q_k s) of T_k has residual beta_k |s_k|.  Ends at beta_k = 0.
+    """
+    alphas, betas = [], []
+    w = matvec(q)
+    while True:
+        alpha = float(np.vdot(q, w).real)
+        alphas.append(alpha)
+        w -= alpha * q
+        beta = float(np.linalg.norm(w))
+        yield alphas, betas, beta, q
+        if beta == 0.0:
+            return
+        betas.append(beta)
+        w /= beta
+        q_prev, q = q, w
+        w = matvec(q)
+        w -= beta * q_prev
 
 
 def _gap_slack(n):
@@ -436,9 +452,11 @@ class _GapBound:
 
 
 def _krylov_ground_pair(M, start, floor):
-    """Ground pair of M by ARPACK from ``start``, or None if uncertified.
+    """Ground pair of M by Lanczos from ``start``, or None if uncertified.
 
-    An answer (lam, x), with lam the Rayleigh quotient of the unit x, is
+    Up to ``_KRYLOV_MAX_STEPS`` Lanczos steps run until the lowest Ritz
+    pair's residual estimate is at most delta (else None).  An answer
+    (lam, x), with lam the Rayleigh quotient of the unit Ritz vector x, is
     returned only if ||Mx - lam x|| <= delta, with delta = 1e-9
     (1 + |lam|) the see-saw's own monotonicity slack, and lam + delta
     lies below ``floor`` less ``_gap_slack``.  The residual puts an
@@ -455,31 +473,23 @@ def _krylov_ground_pair(M, start, floor):
     """
     n = M.shape[0]
     A = M.T
-    # ARPACK stops on a residual estimate relative to the Ritz value, a
-    # test a ground eigenvalue of 0 (a witness's product zero) never
-    # passes.  Shifted by 2 ||M||_F, the ground Ritz value lies in
-    # [||M||_F, 3 ||M||_F] and the Krylov space is unchanged.
-    norm = _ZNRM2(M.reshape(-1))
-    shift = 2.0 * norm
-    op = LinearOperator(
-        (n, n),
-        matvec=lambda y: _ZHEMV(1.0, A, y, beta=shift, y=y, lower=1),
-        dtype=np.complex128,
-    )
-    try:
-        _, vecs = eigsh(
-            op, k=1, which="SA", v0=start.conj(), ncv=_KRYLOV_NCV,
-            maxiter=_KRYLOV_MAXITER, tol=0,
-        )
-    except ArpackError:  # includes ArpackNoConvergence at the iteration cap
+    basis = []  # Lanczos vectors of conj(M), from conj(start)
+    steps = _lanczos(lambda q: _ZHEMV(1.0, A, q, lower=1), start.conj() / _ZNRM2(start))
+    for alphas, betas, beta, q in itertools.islice(steps, _KRYLOV_MAX_STEPS):
+        basis.append(q)
+        vals, vecs = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+        if beta * abs(vecs[-1, 0]) <= 1e-9 * (1.0 + abs(vals[0])):
+            break
+    else:
         return None
-    y = vecs[:, 0] / _ZNRM2(vecs[:, 0])  # y = conj(x)
+    y = vecs[:, 0] @ np.array(basis)  # y = conj(x)
+    y /= _ZNRM2(y)
     Ay = _ZHEMV(1.0, A, y, lower=1)
     lam = float(_ZDOTC(y, Ay).real)
     delta = 1e-9 * (1.0 + abs(lam))
     if _ZNRM2(Ay - lam * y) > delta:
         return None
-    if lam + delta >= floor - _gap_slack(n) * norm:
+    if lam + delta >= floor - _gap_slack(n) * _ZNRM2(M.reshape(-1)):
         return None
     return lam, y.conj()
 
@@ -512,7 +522,7 @@ def _ground_pair(M, start=None, bound=None):
     floor first drops by ||M - prev||_F: the Hermitian parts of M and
     prev differ by at most that much in operator norm, so by Weyl's
     inequality it still bounds lambda_2 of M's Hermitian part.  A capped
-    ARPACK run is then kept if ``_krylov_ground_pair`` certifies it by
+    Lanczos run is then kept if ``_krylov_ground_pair`` certifies it by
     that floor, the only certificate.  Otherwise, and on a bound's first
     solve, ``zheevr`` computes lambda_1 and lambda_2 and reseeds the
     floor at lambda_2 less its rounding allowance, so a spent floor is

@@ -167,11 +167,11 @@ def _separability_evidence(sigma, assert_separable):
             raise SeparabilityError(
                 f"sigma is NPT hence entangled (lambda_min of PT = {pt_vals[0]:.3e})"
             )
-        return "ppt-verified"
+        return "ppt-verified", vals
     if _ball_criterion(sigma):
-        return "ball-criterion"
+        return "ball-criterion", vals
     if assert_separable:
-        return "caller-asserted"
+        return "caller-asserted", vals
     raise SeparabilityError(
         "cannot certify separability above 2x3; pass assert_separable=True "
         "to take responsibility"
@@ -188,9 +188,9 @@ def witness_from_separable(sigma, c, cfg=None, assert_separable=False):
     cfg = cfg or OptimizerConfig()
     if len(sigma.dims) != 2:
         raise DimensionError(f"need a bipartite sigma, got dims {sigma.dims}")
-    evidence = _separability_evidence(sigma, assert_separable)
+    evidence, vals = _separability_evidence(sigma, assert_separable)
     c = float(c)
-    lam_min = float(np.linalg.eigvalsh(sigma.entries)[0])
+    lam_min = float(vals[0])
     if c <= lam_min:
         raise NotAWitnessError(
             f"not a witness: shift {c} <= lambda_min {lam_min:.12g} keeps "
@@ -212,9 +212,9 @@ def dual_witness_from_separable(sigma, c, cfg=None, assert_separable=False):
     cfg = cfg or OptimizerConfig()
     if len(sigma.dims) != 2:
         raise DimensionError(f"need a bipartite sigma, got dims {sigma.dims}")
-    evidence = _separability_evidence(sigma, assert_separable)
+    evidence, vals = _separability_evidence(sigma, assert_separable)
     c = float(c)
-    lam_max = float(np.linalg.eigvalsh(sigma.entries)[-1])
+    lam_max = float(vals[-1])
     if c >= lam_max:
         raise NotAWitnessError(
             f"not a witness: shift {c} >= lambda_max {lam_max:.12g} keeps "

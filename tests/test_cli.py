@@ -3,6 +3,8 @@ and determinism, driven through ``cli.main`` in process."""
 
 import io
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -17,7 +19,7 @@ from witnesskit.families import (
     two_block_witness,
     w_xyz,
 )
-from witnesskit.operators import operator_from_json, operator_to_json
+from witnesskit.operators import HermitianOperator, operator_from_json, operator_to_json
 
 
 def _write_operator(tmp_path, name, op):
@@ -225,6 +227,35 @@ def test_lift_witness_dump_dense(tmp_path, capsys):
     M = np.asarray(dense["re"]) + 1j * np.asarray(dense["im"])
     assert M.shape == (256, 256)
     np.testing.assert_allclose(M, M.conj().T, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mode, op, total",
+    [
+        ("witness", HermitianOperator((3, 3), np.eye(9) - 0.5 * np.ones((9, 9))), 9**4),
+        ("state", HermitianOperator((2, 2), np.eye(4) / 4.0), 4**8),
+    ],
+)
+def test_lift_dump_dense_refuses_oversize_before_lifting(tmp_path, capsys, monkeypatch, mode, op, total):
+    # the lifted side follows from the input (n^4 for a witness, n^8 for
+    # a state), so an oversize dump is refused before classify or the norm
+    reached = []
+    monkeypatch.setattr(lift, "classify", lambda *a, **k: reached.append("classify"))
+    monkeypatch.setattr(lift, "operator_norm", lambda *a, **k: reached.append("operator_norm"))
+    path = _write_operator(tmp_path, "src.json", op)
+    code, report = _run(capsys, ["lift", path, "--mode", mode, "--dump-dense"])
+    assert code == cli.EXIT_ERROR
+    assert report["command"] == "lift" and report["status"] == "error"
+    assert f"lifted dimension {total} exceeds" in report["error"]
+    assert reached == []
+
+
+def test_cli_import_loads_no_scipy_sparse():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, witnesskit.cli; print([m for m in sys.modules if m.startswith('scipy.sparse')])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_lift_state_rejects_bad_weights(tmp_path, capsys):

@@ -345,6 +345,57 @@ def test_carried_gap_bound_stays_below_lambda_2(seed, gap, drift, steps):
         assert lapack["heevr"] > 1
 
 
+def _near_ground_start(rng, Q, offset):
+    """Unit vector ``offset`` away from the ground vector Q[:, 0]."""
+    start = Q[:, 0] + offset * random_unit_vector(rng, Q.shape[0])
+    return start / np.linalg.norm(start)
+
+
+def test_krylov_step_cap_falls_back_to_zheevr(monkeypatch):
+    # a wide gap certifies from a start 1e-2 off the ground vector, but
+    # not in one Lanczos step: at a cap of 1 the try gives up, and the
+    # half-step is zheevr's, which reseeds the floor at lambda_2
+    rng = rng_for(65)
+    n = 256
+    M, Q = _spectral_matrix(rng, np.concatenate([[0.0], np.linspace(0.5, 1.0, n - 1)]))
+    start = _near_ground_start(rng, Q, 1e-2)
+    ref_lam, ref_vec = optimize._lowest_pairs(M, 2)
+    assert _krylov_ground_pair(M, start, ref_lam[1]) is not None
+    monkeypatch.setattr(optimize, "_KRYLOV_MAX_STEPS", 1)
+    assert _krylov_ground_pair(M, start, ref_lam[1]) is None
+    bound = _bound_at(M.copy(), ref_lam[1])
+    lam, vec = _ground_pair(M, start, bound)
+    assert lam == ref_lam[0]
+    np.testing.assert_array_equal(vec, ref_vec[:, 0])
+    assert bound.prev is M
+    assert bound.floor == ref_lam[1] - optimize._gap_slack(n) * optimize._ZNRM2(M.reshape(-1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gap=st.floats(0.01, 0.5),
+    offset=st.floats(0.0, 0.1),
+)
+@example(seed=3, gap=0.5, offset=1e-2)  # certified in well under the cap
+@example(seed=4, gap=0.01, offset=0.1)  # too slow for the cap: None
+def test_krylov_pair_is_the_ground_pair(seed, gap, offset):
+    # with the exact lambda_2 as floor, a certified pair is zheevr's
+    # lambda_1 within delta and its eigenvector up to phase
+    rng = rng_for(seed)
+    n = 128
+    M, Q = _spectral_matrix(rng, np.concatenate([[0.0], gap + np.linspace(0.0, 1.0, n - 1)]))
+    start = _near_ground_start(rng, Q, offset)
+    vals, vecs = optimize._lowest_pairs(M, 2)
+    pair = _krylov_ground_pair(M, start, vals[1])
+    if pair is None:
+        return
+    lam, vec = pair
+    assert abs(lam - vals[0]) <= 1e-9 * (1.0 + abs(lam))
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(vecs[:, 0], vec)) >= 1.0 - 1e-10
+
+
 def test_structured_conditioned_matrices_match_dense():
     # the lifted Bell witness mixes split terms with whole-space bridge terms
     S = lift_witness(bell_state_witness()).operator

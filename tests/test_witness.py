@@ -111,6 +111,27 @@ def test_dual_witness_from_separable_window():
         dual_witness_from_separable(sig, hi - 0.05, CFG)
 
 
+def test_witness_builders_take_sigma_spectrum_from_the_gate(monkeypatch):
+    # the separability gate's eigvalsh of sigma also gives lambda_min
+    # (lambda_max for the dual); neither builder solves sigma again
+    sig = random_product_mixture(rng_for(51), (2, 2), 4)
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if a is sig.entries:
+            solves.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    vals = eigvalsh(sig.entries)
+    for build, c in ((witness_from_separable, vals[0]), (dual_witness_from_separable, vals[-1])):
+        solves.clear()
+        with pytest.raises(NotAWitnessError, match=f"{c:.12g}"):
+            build(sig, c, CFG)
+        assert len(solves) == 1
+
+
 def test_separability_gate_rejects_entangled_sigma():
     psi = maximally_entangled(2)
     bell = HermitianOperator((2, 2), np.outer(psi, psi.conj()))
