@@ -64,7 +64,6 @@ from .structured import (
     IdentityFactor,
     StructuredOperator,
     SwapFactor,
-    build_structural,
 )
 from .lift import (
     LiftedWitness,

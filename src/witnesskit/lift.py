@@ -48,7 +48,6 @@ from .structured import (
     StructuredOperator,
     SwapFactor,
     SwapKronFactor,
-    build_structural,
 )
 from .witness import NotAWitnessError, classify
 
@@ -95,16 +94,8 @@ def operator_norm(S, seed=0):
     ``ArithmeticError`` when the test is not met within
     ``_NORM_MAX_STEPS`` steps.
     """
-    rng = rng_for(seed, 9090)
-    for _ in range(3):
-        steps = _lanczos(S.matvec, random_unit_vector(rng, S.total_dim))
-        alphas, betas, beta, _ = next(steps)
-        if math.hypot(alphas[0], beta) >= 1e-300:
-            break
-        # start vector fell into the kernel; a couple of fresh draws
-        # distinguish the zero operator from bad luck
-    else:
-        return 0.0
+    steps = _lanczos(S.matvec, random_unit_vector(rng_for(seed, 9090), S.total_dim))
+    alphas, betas, beta, _ = next(steps)
     for _ in range(_NORM_MAX_STEPS):
         ends = [
             eigh_tridiagonal(alphas, betas, select="i", select_range=(i, i))
@@ -137,11 +128,19 @@ def _witness_lift_norm(W):
 
 
 def _half_swap_sym_projector(space_dims):
+    """(1/2)(I (x) I + V (x) V) with V the swap inside each half."""
     if len(space_dims) != 4 or len(set(space_dims)) != 1:
         raise DimensionError(
             f"sandwich projector needs four equal tensor slots, got {space_dims}"
         )
-    return build_structural("sym_projector", space_dims[0])
+    d = space_dims[0]
+    return StructuredOperator(
+        space_dims,
+        [
+            (0.5, (IdentityFactor(d * d), IdentityFactor(d * d))),
+            (0.5, (SwapFactor(d), SwapFactor(d))),
+        ],
+    )
 
 
 def _asym_projector(space_dims):
@@ -206,21 +205,34 @@ class LiftedWitness:
             )
 
 
-def _finish_lift(Y, C, cfg, source_kind, source, params=()):
-    """Probe the symmetric part Y, set the penalty (default
-    C = 2 ||Y||_inf, with ||Y||_inf in closed form for a witness source)
-    and assemble the ``LiftedWitness``."""
+def _check_source(X, kind, power, C):
+    """The checks both lifts make before any lift work: a bipartite
+    ``HermitianOperator`` source whose lift, of X.side ** ``power``
+    dimensions (four copies of W, or of the pair rho (x) rho), fits
+    ``MAX_LIFT_TOTAL``, and a finite penalty override C."""
+    if not isinstance(X, HermitianOperator):
+        raise TypeError(f"lift_{kind} expects a HermitianOperator")
+    if len(X.dims) != 2:
+        raise DimensionError(f"{kind} must be bipartite, got dims {X.dims}")
+    total = X.side ** power
+    if total > MAX_LIFT_TOTAL:
+        raise DimensionError(
+            f"lift budget exceeded: the four-copy lift of a dim-{X.side} {kind} "
+            f"needs {total} > {MAX_LIFT_TOTAL} dimensions"
+        )
     if C is not None and not math.isfinite(C):
         raise ValueError(f"penalty constant must be finite, got {C}")
+
+
+def _finish_lift(Y, C, cfg, y_norm, source_kind, source, params=()):
+    """Probe the symmetric part Y, set the penalty (default
+    C = 2 ``y_norm``, with ``y_norm`` = ||Y||_inf) and assemble the
+    ``LiftedWitness``."""
     gap = projector_sandwich_gap(Y, n_probes=4, seed=cfg.seed)
     if gap > 1e-8:
         raise ArithmeticError(
             f"symmetric sandwich probe failed on the lift (gap {gap:.3e})"
         )
-    if source_kind == "witness":
-        y_norm = _witness_lift_norm(source)
-    else:
-        y_norm = operator_norm(Y, seed=cfg.seed)
     constant = 2.0 * y_norm if C is None else float(C)
     asym = _asym_projector(Y.space_dims)
     return LiftedWitness(
@@ -251,16 +263,8 @@ def lift_witness(W, C=None, cfg=None):
     while keeping negative eigenvalue directions whenever W has any.
     """
     cfg = cfg if cfg is not None else OptimizerConfig()
-    if not isinstance(W, HermitianOperator):
-        raise TypeError("lift_witness expects a HermitianOperator")
-    if len(W.dims) != 2:
-        raise DimensionError(f"witness must be bipartite, got dims {W.dims}")
+    _check_source(W, "witness", 4, C)
     n = W.side
-    if n ** 4 > MAX_LIFT_TOTAL:
-        raise DimensionError(
-            f"lift budget exceeded: four copies of a dim-{n} operator need "
-            f"{n ** 4} > {MAX_LIFT_TOTAL} dimensions"
-        )
     report = classify(W, cfg)
     if not report.is_witness:
         raise NotAWitnessError(
@@ -274,7 +278,7 @@ def lift_witness(W, C=None, cfg=None):
         (n, n, n, n),
         [(0.5, (block, block, block, block)), (0.5, (cross, cross))],
     )
-    return _finish_lift(Y, C, cfg, "witness", W)
+    return _finish_lift(Y, C, cfg, _witness_lift_norm(W), "witness", W)
 
 
 def _state_symmetric_terms(rho_tilde, s, alpha, beta, gamma):
@@ -335,10 +339,7 @@ def lift_state(rho, alpha, beta, gamma, C=None, cfg=None):
     positive weights with gamma <= s^2 beta.
     """
     cfg = cfg if cfg is not None else OptimizerConfig()
-    if not isinstance(rho, HermitianOperator):
-        raise TypeError("lift_state expects a HermitianOperator")
-    if len(rho.dims) != 2:
-        raise DimensionError(f"state must be bipartite, got dims {rho.dims}")
+    _check_source(rho, "state", 8, C)
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)
     if not all(math.isfinite(w) and w > 0.0 for w in (alpha, beta, gamma)):
         raise ValueError("weights alpha, beta, gamma must all be positive and finite")
@@ -357,16 +358,12 @@ def lift_state(rho, alpha, beta, gamma, C=None, cfg=None):
         raise ValueError(
             f"state must be positive semidefinite (lambda_min {lam_min:.3e})"
         )
-    if s ** 4 > MAX_LIFT_TOTAL:
-        raise DimensionError(
-            f"lift budget exceeded: four copies of a dim-{n} state pair need "
-            f"{s ** 4} > {MAX_LIFT_TOTAL} dimensions"
-        )
     rho_tilde = np.kron(rho.entries, rho.entries)
     Y = StructuredOperator(
         (s, s, s, s), _state_symmetric_terms(rho_tilde, s, alpha, beta, gamma)
     )
-    return _finish_lift(Y, C, cfg, "state", rho, (alpha, beta, gamma))
+    y_norm = operator_norm(Y, seed=cfg.seed)
+    return _finish_lift(Y, C, cfg, y_norm, "state", rho, (alpha, beta, gamma))
 
 
 def symmetric_expectation_gap(lifted, n_probes=50, seed=0):

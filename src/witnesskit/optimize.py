@@ -71,7 +71,7 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, get_blas_funcs, get_lapack_funcs
@@ -356,8 +356,11 @@ def _fill_half(out, parts, dim):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Restart:
+    """One see-saw restart's end point; ``u`` and ``v`` are read-only, so
+    the memo can serve a run to any number of callers."""
+
     value: float
     u: np.ndarray
     v: np.ndarray
@@ -365,23 +368,8 @@ class _Restart:
     index: int
     sweeps: int
 
-    def copy(self):
-        return _Restart(
-            self.value, self.u.copy(), self.v.copy(), self.converged, self.index, self.sweeps
-        )
 
-
-_HEEVR, _HEEVR_LWORK = get_lapack_funcs(("heevr", "heevr_lwork"), dtype=np.complex128)
-
-
-@functools.lru_cache(maxsize=None)
-def _heevr_workspace(n):
-    """Optimal (lwork, lrwork, liwork) for zheevr at side n; the
-    default minimal workspace runs about 10% slower at n = 256."""
-    work, rwork, iwork, info = _HEEVR_LWORK(n)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zheevr workspace query failed (info={info})")
-    return int(work.real), int(rwork), int(iwork)
+_HEEVR = get_lapack_funcs("heevr", dtype=np.complex128)
 
 
 _ZHEMV, _ZNRM2, _ZDOTC, _ZCOPY, _ZAXPY = get_blas_funcs(
@@ -498,10 +486,7 @@ def _lowest_pairs(M, count):
     """The ``count`` lowest eigenvalues and unit eigenvectors (as columns)
     of the Hermitian matrix held in M's upper triangle, by LAPACK
     ``zheevr``."""
-    lwork, lrwork, liwork = _heevr_workspace(M.shape[0])
-    vals, vecs, _, _, info = _HEEVR(
-        M, range="I", il=1, iu=count, lwork=lwork, lrwork=lrwork, liwork=liwork
-    )
+    vals, vecs, _, _, info = _HEEVR(M, range="I", il=1, iu=count)
     if info != 0:
         raise np.linalg.LinAlgError(f"zheevr failed (info={info})")
     return vals, vecs
@@ -748,6 +733,8 @@ def _seesaw_rows(kernel, cfg, lo, starts):
             value = lam
         done = np.abs(prev_sweep - value) <= cfg.tol_converge * (1.0 + np.abs(value))
         if done.any():
+            # the runs view rows of these stacks, which no later step writes
+            U.flags.writeable = V.flags.writeable = False
             runs += [
                 _Restart(float(value[i]), U[i], V[i], True, int(idx[i]), sweep)
                 for i in np.flatnonzero(done)
@@ -760,6 +747,7 @@ def _seesaw_rows(kernel, cfg, lo, starts):
         if jump:
             U, V, value = _extrapolate(kernel, U0, V0, U, V, value, cfg.tol_converge)
         prev_sweep = value
+    U.flags.writeable = V.flags.writeable = False
     runs += [
         _Restart(float(value[i]), U[i], V[i], False, int(idx[i]), cfg.max_sweeps)
         for i in range(idx.size)
@@ -802,14 +790,14 @@ def _seesaw_all(X, cfg, dims=None):
 
     A dense X whose entries and runs' vectors fit in ``_STACK_ENTRIES``
     complex numbers first looks up ``_SEESAW_MEMO``.  An entry with the
-    same diagonal is the same search, so copies of its runs are returned
-    (bitwise those of a cold call).  An entry whose diagonal differs by
-    a constant (``_is_identity_shift``) holds the end points of a
-    landscape that differs from X's by that constant: restart k then
-    starts from the stored run k's (u, v) instead of its seeded draw and
-    runs the unchanged see-saw on X, so the values, convergence flags
-    and sweep counts are X's own (a converged start usually converges
-    in one sweep).  Only cold results are stored.
+    same diagonal is the same search, so its runs are returned.  An
+    entry whose diagonal differs by a constant (``_is_identity_shift``)
+    holds the end points of a landscape that differs from X's by that
+    constant: restart k then starts from the stored run k's (u, v)
+    instead of its seeded draw and runs the unchanged see-saw on X, so
+    the values, convergence flags and sweep counts are X's own (a
+    converged start usually converges in one sweep).  Only cold results
+    are stored.
     """
     key = starts = None
     if (
@@ -822,7 +810,7 @@ def _seesaw_all(X, cfg, dims=None):
             _SEESAW_MEMO.move_to_end(key)
             stored, stored_runs = entry
             if np.array_equal(diag, stored):
-                return [run.copy() for run in stored_runs]
+                return stored_runs
             if _is_identity_shift(diag, stored):
                 starts = np.array([np.concatenate((run.u, run.v)) for run in stored_runs])
     kernel = _SplitKernel(X, dims)
@@ -837,7 +825,7 @@ def _seesaw_all(X, cfg, dims=None):
         runs += _seesaw_rows(kernel, cfg, lo, table)
     runs.sort(key=lambda r: r.index)
     if key is not None and starts is None:
-        _SEESAW_MEMO[key] = (diag, [run.copy() for run in runs])
+        _SEESAW_MEMO[key] = (diag, runs)
         if len(_SEESAW_MEMO) > _START_TABLES:
             _SEESAW_MEMO.popitem(last=False)
     return runs
@@ -887,14 +875,7 @@ def max_product_expectation(X, cfg=None, dims=None):
     else:
         raise TypeError(f"unsupported operand type {type(X).__name__}")
     res = min_product_expectation(neg, cfg, dims)
-    return MinProdResult(
-        value=-res.value,
-        argmin=res.argmin,
-        converged=res.converged,
-        restarts_used=res.restarts_used,
-        restarts_converged=res.restarts_converged,
-        sweeps_max=res.sweeps_max,
-    )
+    return replace(res, value=-res.value)
 
 
 def collect_zero_products(X, cfg=None, dims=None):

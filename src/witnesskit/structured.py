@@ -55,7 +55,6 @@ __all__ = [
     "StructuredOperator",
     "SwapFactor",
     "SwapKronFactor",
-    "build_structural",
 ]
 
 
@@ -109,13 +108,6 @@ class _BridgeFactor(_StructuralFactor):
     def add_bridge_cond(self, M, coeff, w, ww):
         raise NotImplementedError
 
-    def bridge_cond(self, w):
-        """<w,b|T|w,d> as a new matrix."""
-        w = np.asarray(w, dtype=np.complex128).reshape(-1)
-        out = np.zeros((w.size, w.size), dtype=np.complex128)
-        self.add_bridge_cond(out, 1.0, w, np.outer(w, w.conj()))
-        return out
-
 
 class DenseFactor(_Factor):
     def __init__(self, matrix):
@@ -132,9 +124,6 @@ class DenseFactor(_Factor):
         self.dim = arr.shape[0]
 
     def act(self, y):
-        pre, d, post = y.shape
-        if post == 1:  # one GEMM instead of pre matrix-vector products
-            return y.reshape(pre, d) @ self.matrix.T
         return np.matmul(self.matrix, y)
 
     def dense(self):
@@ -218,10 +207,7 @@ class SwapKronFactor(_Factor):
         # d with a carried along, then swap a and b back
         pre, _, post = y.shape
         n, m = self.n, self.block
-        if post == 1:
-            t = y.reshape(pre * n, n) @ m.T
-        else:
-            t = np.matmul(m, y.reshape(pre, n, n, post))
+        t = np.matmul(m, y.reshape(pre, n, n, post))
         t = np.matmul(m, t.reshape(pre, n, n * post))
         return t.reshape(pre, n, n, post).transpose(0, 2, 1, 3)
 
@@ -431,29 +417,3 @@ class StructuredOperator:
             )
         return StructuredOperator(self.space_dims, self.terms + other.terms)
 
-
-def build_structural(kind, d):
-    """Named structural operators as ``StructuredOperator`` values.
-
-    kinds: ``identity`` (on C^d), ``swap`` and ``classical_projector``
-    (on C^d (x) C^d), ``sym_projector`` and ``asym_projector``
-    ((1/2)(I (x) I +- V (x) V) on (C^d (x) C^d)^(x2)).
-    """
-    d = int(d)
-    if kind == "identity":
-        return StructuredOperator((d,), [(1.0, (IdentityFactor(d),))])
-    if kind == "swap":
-        return StructuredOperator((d, d), [(1.0, (SwapFactor(d),))])
-    if kind == "classical_projector":
-        return StructuredOperator((d, d), [(1.0, (ClassicalProjectorFactor(d),))])
-    if kind in ("sym_projector", "asym_projector"):
-        sign = 1.0 if kind == "sym_projector" else -1.0
-        dd = d * d
-        return StructuredOperator(
-            (d, d, d, d),
-            [
-                (0.5, (IdentityFactor(dd), IdentityFactor(dd))),
-                (0.5 * sign, (SwapFactor(d), SwapFactor(d))),
-            ],
-        )
-    raise ValueError(f"unknown structural kind {kind!r}")

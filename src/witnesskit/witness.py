@@ -178,6 +178,41 @@ def _separability_evidence(sigma, assert_separable):
     )
 
 
+def _shifted_witness(sigma, c, cfg, assert_separable, dual):
+    """sigma - c*I, or c*I - sigma when ``dual``, proven a witness.
+
+    The dual is the same test on -sigma at shift -c: with sign = -1 each
+    comparison below is the primal one negated, exactly in floating point.
+    """
+    cfg = cfg or OptimizerConfig()
+    if len(sigma.dims) != 2:
+        raise DimensionError(f"need a bipartite sigma, got dims {sigma.dims}")
+    evidence, vals = _separability_evidence(sigma, assert_separable)
+    c = float(c)
+    sign = -1.0 if dual else 1.0
+    edge = float(vals[-1] if dual else vals[0])
+    if sign * c <= sign * edge:
+        raise NotAWitnessError(
+            f"not a witness: shift {c} {'>= lambda_max' if dual else '<= lambda_min'} "
+            f"{edge:.12g} keeps {'c*I - sigma' if dual else 'sigma - c*I'} "
+            "positive semidefinite"
+        )
+    search = max_product_expectation if dual else min_product_expectation
+    mp = search(sigma, cfg)
+    if sign * c > sign * mp.value + cfg.tol_zero:
+        floor = sign * (mp.value - c)
+        raise ProductViolationError(
+            f"not a witness: negative on a product vector (expectation {floor:.3e})",
+            mp.argmin,
+            floor,
+        )
+    if dual:
+        operator = HermitianOperator(sigma.dims, c * np.eye(sigma.side) - sigma.entries)
+    else:
+        operator = sigma.shifted(c)
+    return CanonicalWitness(sigma, c, operator, evidence, dual)
+
+
 def witness_from_separable(sigma, c, cfg=None, assert_separable=False):
     """Build sigma - c*I and prove it is a witness.
 
@@ -185,53 +220,12 @@ def witness_from_separable(sigma, c, cfg=None, assert_separable=False):
     PSD) and ProductViolationError when c overshoots the product
     infimum, carrying the violating product vector.
     """
-    cfg = cfg or OptimizerConfig()
-    if len(sigma.dims) != 2:
-        raise DimensionError(f"need a bipartite sigma, got dims {sigma.dims}")
-    evidence, vals = _separability_evidence(sigma, assert_separable)
-    c = float(c)
-    lam_min = float(vals[0])
-    if c <= lam_min:
-        raise NotAWitnessError(
-            f"not a witness: shift {c} <= lambda_min {lam_min:.12g} keeps "
-            "sigma - c*I positive semidefinite"
-        )
-    mp = min_product_expectation(sigma, cfg)
-    if c > mp.value + cfg.tol_zero:
-        raise ProductViolationError(
-            f"not a witness: negative on a product vector "
-            f"(expectation {mp.value - c:.3e})",
-            mp.argmin,
-            mp.value - c,
-        )
-    return CanonicalWitness(sigma, c, sigma.shifted(c), evidence)
+    return _shifted_witness(sigma, c, cfg, assert_separable, dual=False)
 
 
 def dual_witness_from_separable(sigma, c, cfg=None, assert_separable=False):
     """Build c*I - sigma; valid for maxprod(sigma) <= c < lambda_max."""
-    cfg = cfg or OptimizerConfig()
-    if len(sigma.dims) != 2:
-        raise DimensionError(f"need a bipartite sigma, got dims {sigma.dims}")
-    evidence, vals = _separability_evidence(sigma, assert_separable)
-    c = float(c)
-    lam_max = float(vals[-1])
-    if c >= lam_max:
-        raise NotAWitnessError(
-            f"not a witness: shift {c} >= lambda_max {lam_max:.12g} keeps "
-            "c*I - sigma positive semidefinite"
-        )
-    mx = max_product_expectation(sigma, cfg)
-    if c < mx.value - cfg.tol_zero:
-        raise ProductViolationError(
-            f"not a witness: negative on a product vector "
-            f"(expectation {c - mx.value:.3e})",
-            mx.argmin,
-            c - mx.value,
-        )
-    operator = HermitianOperator(
-        sigma.dims, c * np.eye(sigma.side) - sigma.entries
-    )
-    return CanonicalWitness(sigma, c, operator, evidence, dual=True)
+    return _shifted_witness(sigma, c, cfg, assert_separable, dual=True)
 
 
 # ---------------------------------------------------------------------------

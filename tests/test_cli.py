@@ -215,6 +215,20 @@ def test_lift_witness_report(tmp_path, capsys):
     assert probes["seesaw_minprod"]["value"] >= -1e-7
 
 
+def test_lift_state_report(tmp_path, capsys):
+    # the (1,2) maximally mixed state: a 256-dim lift
+    rho = HermitianOperator((1, 2), np.eye(2) / 2.0)
+    path = _write_operator(tmp_path, "rho.json", rho)
+    code, report = _run(capsys, ["lift", path, "--mode", "state"])
+    assert code == cli.EXIT_OK
+    res = report["results"]
+    assert res["total_dim"] == 256
+    assert res["weights"] == {"alpha": 1.0, "beta": 1.0, "gamma": 1.0}
+    probes = res["probes"]
+    assert probes["component_linearity_gap"]["value"] <= 1e-10
+    assert probes["seesaw_minprod"]["value"] >= -1e-6
+
+
 def test_lift_witness_dump_dense(tmp_path, capsys):
     from witnesskit.families import bell_state_witness
 

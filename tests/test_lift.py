@@ -41,7 +41,6 @@ from witnesskit.structured import (
     IdentityFactor,
     StructuredOperator,
     SwapFactor,
-    build_structural,
 )
 from witnesskit.witness import NotAWitnessError
 
@@ -72,10 +71,10 @@ def test_operator_norm_zero_operator():
 
 
 def test_operator_norm_structural_atoms():
-    assert operator_norm(build_structural("swap", 4)) == pytest.approx(1.0, abs=1e-7)
-    assert operator_norm(build_structural("sym_projector", 2)) == pytest.approx(
-        1.0, abs=1e-7
-    )
+    swap = StructuredOperator((4, 4), [(1.0, (SwapFactor(4),))])
+    assert operator_norm(swap) == pytest.approx(1.0, abs=1e-7)
+    sym = lift._half_swap_sym_projector((2, 2, 2, 2))
+    assert operator_norm(sym) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_operator_norm_matches_dense():

@@ -58,7 +58,6 @@ from witnesskit.structured import (
     IdentityFactor,
     StructuredOperator,
     SwapFactor,
-    build_structural,
 )
 
 CFG = OptimizerConfig(restarts=16, seed=0)
@@ -156,7 +155,7 @@ def test_structured_kernel_matches_dense_kernel():
 def test_bridge_kernel_half_swap():
     # a single swap factor across the whole bipartition: the product
     # expectation <u,v|V|u,v> = |<u|v>|^2 has exact floor 0 and peak 1
-    S = build_structural("swap", 4)
+    S = StructuredOperator((4, 4), [(1.0, (SwapFactor(4),))])
     lo = min_product_expectation(S, CFG)
     hi = max_product_expectation(S, CFG)
     assert lo.value == pytest.approx(0.0, abs=1e-8)
@@ -521,7 +520,8 @@ def test_minprod_same_on_cold_and_warm_start_tables():
 
 def test_writes_into_results_do_not_reach_the_start_tables():
     # one sweep keeps the returned vectors as close to the starts as the
-    # see-saw allows; scribbling on them must not change the next call
+    # see-saw allows; scribbling on them must not change the next call,
+    # and the runs the memo serves refuse writes
     X = random_hermitian(rng_for(73), (3, 3))
     cfg = OptimizerConfig(restarts=8, seed=4, max_sweeps=1)
     first = min_product_expectation(X, cfg)
@@ -530,11 +530,39 @@ def test_writes_into_results_do_not_reach_the_start_tables():
         vec.setflags(write=True)  # argmin is a read-only copy; force it open
         vec[:] = 0.0
     for run in optimize._seesaw_all(X, cfg):
-        run.u[:] = 0.0
-        run.v[:] = 0.0
+        for vec in (run.u, run.v):
+            with pytest.raises(ValueError, match="read-only"):
+                vec[:] = 0.0
     _same_minprod(min_product_expectation(X, cfg), kept)
     optimize._start_table.cache_clear()
     _same_minprod(min_product_expectation(X, cfg), kept)
+
+
+def _same_runs(runs, others):
+    assert len(runs) == len(others)
+    for run, other in zip(runs, others):
+        assert (run.value, run.converged, run.index, run.sweeps) == (
+            other.value, other.converged, other.index, other.sweeps,
+        )
+        np.testing.assert_array_equal(run.u, other.u)
+        np.testing.assert_array_equal(run.v, other.v)
+
+
+def test_memo_serves_its_runs_without_copies():
+    # an exact hit hands out the stored runs themselves, bitwise a cold
+    # search; a shift search started from them leaves them as they were
+    X = random_product_mixture(rng_for(95), (2, 3), 3)
+    cfg = OptimizerConfig(restarts=8, seed=5)
+    stored = optimize._seesaw_all(X, cfg)
+    assert optimize._seesaw_all(X, cfg) is stored
+    kept = [replace(run, u=run.u.copy(), v=run.v.copy()) for run in stored]
+    with mock.patch.object(optimize, "_seesaw_rows", wraps=optimize._seesaw_rows) as rows:
+        optimize._seesaw_all(X.shifted(0.3), cfg)
+    assert rows.called
+    _same_runs(stored, kept)
+    assert not any(run.u.flags.writeable or run.v.flags.writeable for run in stored)
+    optimize._SEESAW_MEMO.clear()
+    _same_runs(optimize._seesaw_all(X, cfg), stored)
 
 
 def test_start_table_cache_holds_at_most_its_bound():

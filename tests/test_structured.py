@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from witnesskit import lift
 from witnesskit.lift import lift_state
 from witnesskit.operators import DimensionError, NonFiniteError, NonHermitianError
 from witnesskit.sampling import (
@@ -24,7 +25,6 @@ from witnesskit.structured import (
     StructuredOperator,
     SwapFactor,
     SwapKronFactor,
-    build_structural,
 )
 
 
@@ -122,7 +122,8 @@ def test_bridge_cond_matches_dense_conditioning(factory):
     dense = f.dense().reshape(half, half, half, half)
     for _ in range(3):
         w = random_unit_vector(rng, half)
-        got = f.bridge_cond(w)
+        got = np.zeros((half, half), dtype=np.complex128)
+        f.add_bridge_cond(got, 1.0, w, np.outer(w, w.conj()))
         pin_first = np.einsum("a,abcd,c->bd", w.conj(), dense, w)
         pin_second = np.einsum("b,abcd,d->ac", w.conj(), dense, w)
         np.testing.assert_allclose(got, pin_first, atol=1e-13)
@@ -172,35 +173,49 @@ def test_structured_operator_matvec_matches_dense_at_cap():
         np.testing.assert_allclose(S.matvec(x), dense @ x, atol=1e-12)
 
 
+def _swap(d):
+    return StructuredOperator((d, d), [(1.0, (SwapFactor(d),))])
+
+
 def test_structured_operator_scaling_and_addition():
-    S = build_structural("swap", 3)
-    T = build_structural("classical_projector", 3)
+    S = _swap(3)
+    T = StructuredOperator((3, 3), [(1.0, (ClassicalProjectorFactor(3),))])
     both = S.scaled(2.0) + T
     np.testing.assert_allclose(
         both.to_dense(), 2.0 * S.to_dense() + T.to_dense(), atol=1e-14
     )
     with pytest.raises(DimensionError):
-        S + build_structural("swap", 2)
+        S + _swap(2)
 
 
 def test_structured_operator_validates_term_dims():
     with pytest.raises(DimensionError):
         StructuredOperator((2, 2), [(1.0, (IdentityFactor(3),))])
-    S = build_structural("swap", 2)
     with pytest.raises(DimensionError):
-        S.matvec(np.zeros(5))
+        _swap(2).matvec(np.zeros(5))
 
 
-def test_build_structural_projector_algebra():
-    sym = build_structural("sym_projector", 2)
-    asym = build_structural("asym_projector", 2)
+def test_half_involution_projector_algebra():
+    # (1/2)(I (x) I +- V (x) V) on (C^2 (x) C^2)^(x2); the lift's sandwich
+    # projector is the + sign
+    sym, asym = (
+        StructuredOperator(
+            (2, 2, 2, 2),
+            [
+                (0.5, (IdentityFactor(4), IdentityFactor(4))),
+                (0.5 * sign, (SwapFactor(2), SwapFactor(2))),
+            ],
+        )
+        for sign in (1.0, -1.0)
+    )
     s, a = sym.to_dense(), asym.to_dense()
+    np.testing.assert_array_equal(lift._half_swap_sym_projector((2, 2, 2, 2)).to_dense(), s)
     np.testing.assert_allclose(s + a, np.eye(16), atol=1e-15)
     np.testing.assert_allclose(s @ s, s, atol=1e-15)
     np.testing.assert_allclose(a @ a, a, atol=1e-15)
     np.testing.assert_allclose(s @ a, np.zeros((16, 16)), atol=1e-15)
-    with pytest.raises(ValueError):
-        build_structural("nonsense", 2)
+    with pytest.raises(DimensionError):
+        lift._half_swap_sym_projector((2, 2, 2, 3))
 
 
 def test_dense_factor_validation():

@@ -111,6 +111,37 @@ def test_dual_witness_from_separable_window():
         dual_witness_from_separable(sig, hi - 0.05, CFG)
 
 
+def test_dual_witness_is_the_negated_shift():
+    # both builders run one gate; the dual's operator, shift checks and
+    # violation value are the primal ones negated, entry by entry
+    sig = random_product_mixture(rng_for(51), (2, 2), 4)
+    lo = min_product_expectation(sig, CFG).value
+    hi = max_product_expectation(sig, CFG).value
+    vals = np.linalg.eigvalsh(sig.entries)
+    w = dual_witness_from_separable(sig, hi, CFG)
+    np.testing.assert_array_equal(w.operator.entries, -sig.shifted(hi).entries)
+    np.testing.assert_array_equal(w.operator.entries, hi * np.eye(4) - sig.entries)
+    for build, c, edge, text in (
+        (witness_from_separable, vals[0], "<= lambda_min", "sigma - c*I"),
+        (dual_witness_from_separable, vals[-1], ">= lambda_max", "c*I - sigma"),
+    ):
+        with pytest.raises(NotAWitnessError) as info:
+            build(sig, c, CFG)
+        assert str(info.value) == (
+            f"not a witness: shift {c} {edge} {c:.12g} keeps {text} positive semidefinite"
+        )
+    for build, c, value in (
+        (witness_from_separable, lo + 0.05, lo - (lo + 0.05)),
+        (dual_witness_from_separable, hi - 0.05, (hi - 0.05) - hi),
+    ):
+        with pytest.raises(ProductViolationError) as info:
+            build(sig, c, CFG)
+        assert info.value.value == value
+        assert str(info.value) == (
+            f"not a witness: negative on a product vector (expectation {value:.3e})"
+        )
+
+
 def test_witness_builders_take_sigma_spectrum_from_the_gate(monkeypatch):
     # the separability gate's eigvalsh of sigma also gives lambda_min
     # (lambda_max for the dual); neither builder solves sigma again
