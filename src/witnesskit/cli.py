@@ -31,6 +31,7 @@ from . import families
 from .lift import (
     lift_state,
     lift_witness,
+    lifted_dim,
     negative_direction,
     state_expectation_components,
     symmetric_expectation_gap,
@@ -88,6 +89,16 @@ def _emit(report):
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
 
 
+def _report(command, inputs, results, status, diagnostics=None):
+    """Every successful command's report: command, inputs, results,
+    diagnostics (when the command has any) and status, in that order."""
+    report = {"command": command, "inputs": inputs, "results": results}
+    if diagnostics is not None:
+        report["diagnostics"] = diagnostics
+    report["status"] = status
+    _emit(report)
+
+
 def _error_report(command, exc):
     _emit(
         {
@@ -116,13 +127,11 @@ def cmd_classify(args):
         results["negative_eigenvector"] = _vec(rep.negative_eigenvector)
     if rep.zero_product is not None:
         results["zero_product"] = _product_vector(rep.zero_product)
-    _emit(
-        {
-            "command": "classify",
-            "inputs": {"matrix": args.matrix, "seed": cfg.seed, "restarts": cfg.restarts},
-            "results": results,
-            "status": "pass" if rep.minprod.converged else "indeterminate",
-        }
+    _report(
+        "classify",
+        {"matrix": args.matrix, "seed": cfg.seed, "restarts": cfg.restarts},
+        results,
+        "pass" if rep.minprod.converged else "indeterminate",
     )
     return EXIT_OK if rep.is_witness else EXIT_NOT_WITNESS
 
@@ -132,25 +141,23 @@ def cmd_minprod(args):
     X = load_operator(args.matrix)
     search = max_product_expectation if args.max else min_product_expectation
     res = search(X, cfg)
-    _emit(
+    _report(
+        "minprod",
         {
-            "command": "minprod",
-            "inputs": {
-                "matrix": args.matrix,
-                "seed": cfg.seed,
-                "restarts": cfg.restarts,
-                "maximize": bool(args.max),
-            },
-            "results": {
-                "value": _num(res.value, cfg.tol_zero),
-                "argmin": _product_vector(res.argmin),
-                "converged": bool(res.converged),
-                "restarts_used": int(res.restarts_used),
-                "restarts_converged": int(res.restarts_converged),
-            },
-            "diagnostics": {"sweeps_max": int(res.sweeps_max)},
-            "status": "pass" if res.converged else "indeterminate",
-        }
+            "matrix": args.matrix,
+            "seed": cfg.seed,
+            "restarts": cfg.restarts,
+            "maximize": bool(args.max),
+        },
+        {
+            "value": _num(res.value, cfg.tol_zero),
+            "argmin": _product_vector(res.argmin),
+            "converged": bool(res.converged),
+            "restarts_used": int(res.restarts_used),
+            "restarts_converged": int(res.restarts_converged),
+        },
+        "pass" if res.converged else "indeterminate",
+        diagnostics={"sweeps_max": int(res.sweeps_max)},
     )
     return EXIT_OK
 
@@ -188,8 +195,7 @@ def _lift_probes(lifted, cfg):
 def cmd_lift(args):
     cfg = _config(args)
     X = load_operator(args.source)
-    # four copies of a witness, or of the state pair rho (x) rho
-    total = X.side ** (4 if args.mode == "witness" else 8)
+    total = lifted_dim(X, args.mode)
     if args.dump_dense and total > DENSE_SIDE_CAP:
         raise ValueError(
             f"dense dump refused: lifted dimension {total} exceeds {DENSE_SIDE_CAP}"
@@ -219,18 +225,16 @@ def cmd_lift(args):
     if args.dump_dense:
         dense = lifted.operator.to_dense()
         results["dense"] = {"re": dense.real.tolist(), "im": dense.imag.tolist()}
-    _emit(
+    _report(
+        "lift",
         {
-            "command": "lift",
-            "inputs": {
-                "source": args.source,
-                "mode": args.mode,
-                "seed": cfg.seed,
-                "constant_override": args.constant,
-            },
-            "results": results,
-            "status": "pass",
-        }
+            "source": args.source,
+            "mode": args.mode,
+            "seed": cfg.seed,
+            "constant_override": args.constant,
+        },
+        results,
+        "pass",
     )
     return EXIT_OK
 
@@ -246,9 +250,8 @@ def _parse_params(pairs, defaults, name):
             raise ValueError(
                 f"family {name!r} takes no parameter {key!r} (allowed: {allowed})"
             )
-        params[key] = float(raw)
-    if "primed" in params:
-        params["primed"] = bool(params["primed"])
+        # by the default's type; a bool reads a number, so "0" is False
+        params[key] = type(defaults[key])(float(raw))
     return params
 
 
@@ -267,14 +270,7 @@ def cmd_family(args):
         label: operator_to_json(obj) if isinstance(obj, HermitianOperator) else obj
         for label, obj in fields.items()
     }
-    _emit(
-        {
-            "command": "family",
-            "inputs": {"name": args.name, "params": params},
-            "results": results,
-            "status": "pass",
-        }
-    )
+    _report("family", {"name": args.name, "params": params}, results, "pass")
     return EXIT_OK
 
 
@@ -299,18 +295,16 @@ def cmd_decompose(args):
     if ppt.violation is not None:
         results["ppt_search"]["state"] = operator_to_json(ppt.violation.state)
         results["ppt_search"]["value"] = _num(ppt.violation.value, cfg.tol_zero)
-    _emit(
+    _report(
+        "decompose",
         {
-            "command": "decompose",
-            "inputs": {
-                "matrix": args.matrix,
-                "seed": cfg.seed,
-                "restarts": cfg.restarts,
-            },
-            "results": results,
-            "diagnostics": {"split_iterations": int(dec.iterations)},
-            "status": "pass" if (dec.success or ppt.violation) else "indeterminate",
-        }
+            "matrix": args.matrix,
+            "seed": cfg.seed,
+            "restarts": cfg.restarts,
+        },
+        results,
+        "pass" if (dec.success or ppt.violation) else "indeterminate",
+        diagnostics={"split_iterations": int(dec.iterations)},
     )
     return EXIT_OK
 
@@ -335,18 +329,16 @@ def cmd_reproduce(args):
                 "notes": res.notes,
             }
         )
-    _emit(
+    _report(
+        "reproduce",
         {
-            "command": "reproduce",
-            "inputs": {
-                "case": args.case,
-                "all": bool(args.all),
-                "seed": cfg.seed,
-                "restarts": cfg.restarts,
-            },
-            "results": {"cases": rows, "failed": failed, "total": len(rows)},
-            "status": "pass" if failed == 0 else "fail",
-        }
+            "case": args.case,
+            "all": bool(args.all),
+            "seed": cfg.seed,
+            "restarts": cfg.restarts,
+        },
+        {"cases": rows, "failed": failed, "total": len(rows)},
+        "pass" if failed == 0 else "fail",
     )
     return EXIT_OK if failed == 0 else EXIT_ERROR
 

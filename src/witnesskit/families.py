@@ -23,12 +23,14 @@ from .operators import (
     partial_transpose,
     product_expectation,
 )
+from .lift import lift_state, lift_witness, operator_norm, symmetric_expectation_gap
 from .optimize import (
     OptimizerConfig,
     decomposition_search,
     min_product_expectation,
     ppt_violation_search,
 )
+from .witness import check_pt_invariance, classify, is_finer, witness_from_separable
 
 __all__ = [
     "FAMILIES",
@@ -60,6 +62,12 @@ def maximally_entangled(d):
     vec = np.zeros(d * d, dtype=np.complex128)
     vec[np.arange(d) * (d + 1)] = 1.0 / math.sqrt(d)
     return vec
+
+
+def _lambda_min(X):
+    """The smallest eigenvalue of X, by ``eigvalsh`` (the registry's
+    zero-tolerance checks read its last bits)."""
+    return float(np.linalg.eigvalsh(X.entries)[0])
 
 
 def sigma1():
@@ -197,12 +205,9 @@ def two_block_witness(a, b):
     a, b = float(a), float(b)
     if a <= 0 or b <= 0:
         raise ValueError(f"a and b must be positive, got {(a, b)}")
-    corner = np.zeros((4, 4))
-    corner[np.ix_([0, 3], [0, 3])] = a
     center = np.zeros((4, 4))
     center[np.ix_([1, 2], [1, 2])] = b
-    q2_pt = partial_transpose(HermitianOperator((2, 2), corner))
-    return HermitianOperator((2, 2), q2_pt.entries + center)
+    return HermitianOperator((2, 2), two_block_witness_optimal(a).entries + center)
 
 
 def two_block_witness_optimal(a):
@@ -290,7 +295,7 @@ def pt_bell_witness_2x3(Q=None):
         Q = bell
     if Q.dims != (2, 3):
         raise ValueError(f"Q must live on dims (2, 3), got {Q.dims}")
-    if float(np.linalg.eigvalsh(Q.entries)[0]) < -1e-10:
+    if _lambda_min(Q) < -1e-10:
         raise ValueError("Q must be positive semidefinite")
     outside = [2, 5]
     if np.abs(Q.entries[outside, :]).max() > 1e-12 or np.abs(
@@ -308,8 +313,8 @@ FAMILIES = {
     "bell-witness": (bell_state_witness, {}),
     "pt-bell-2x3": (pt_bell_witness_2x3, {}),
     "werner": (werner_state, {"p": 0.5}),
-    "isotropic-sigma": (isotropic_sigma, {"q": -0.25, "primed": 0.0}),
-    "isotropic-witness": (isotropic_witness, {"q": -0.25, "primed": 0.0}),
+    "isotropic-sigma": (isotropic_sigma, {"q": -0.25, "primed": False}),
+    "isotropic-witness": (isotropic_witness, {"q": -0.25, "primed": False}),
     "wxyz": (w_xyz, {"x": 1.0, "y": 1.0, "z": 0.0}),
     "two-block": (two_block_witness, {"a": 1.0, "b": 1.0}),
     "two-block-optimal": (two_block_witness_optimal, {"a": 1.0}),
@@ -409,7 +414,7 @@ def _build_sigma_floor(sigma_builder):
     def build(cfg):
         sig = sigma_builder()
         mp = min_product_expectation(sig, cfg)
-        pt_min = float(np.linalg.eigvalsh(partial_transpose(sig).entries)[0])
+        pt_min = _lambda_min(partial_transpose(sig))
         return {
             "min_product_expectation": mp.value,
             "pt_lambda_min": pt_min,
@@ -427,18 +432,14 @@ def _build_choi_eigenvalues(cfg):
 def _build_choi_sigma_spectrum(cfg):
     sig = choi_sigma()
     return {
-        "lambda_min": float(np.linalg.eigvalsh(sig.entries)[0]),
-        "pt_lambda_min": float(
-            np.linalg.eigvalsh(partial_transpose(sig).entries)[0]
-        ),
+        "lambda_min": _lambda_min(sig),
+        "pt_lambda_min": _lambda_min(partial_transpose(sig)),
     }
 
 
 def _build_choi_cmax(cfg):
-    sig = choi_sigma()
-    a = min_product_expectation(sig, cfg).value
-    b = min_product_expectation(partial_transpose(sig), cfg).value
-    return {"minprod": a, "minprod_pt": b, "gap": abs(a - b)}
+    rep = check_pt_invariance(choi_sigma(), cfg)
+    return {"minprod": rep.value, "minprod_pt": rep.value_pt, "gap": rep.gap}
 
 
 def _build_werner_identity(cfg):
@@ -454,17 +455,21 @@ def _build_werner_identity(cfg):
     return {"max_identity_gap": worst}
 
 
+def _floors(prefix, W, cfg):
+    """The product floor and the spectral floor of W, as
+    ``{prefix}minprod`` and ``{prefix}lambda_min``."""
+    return {
+        f"{prefix}minprod": min_product_expectation(W, cfg).value,
+        f"{prefix}lambda_min": _lambda_min(W),
+    }
+
+
 def _build_two_block(cfg):
     w = two_block_witness(1.0, 1.0)
-    zero = product_expectation(w, two_block_zero_product())
-    mp = min_product_expectation(w, cfg)
-    lam = float(np.linalg.eigvalsh(w.entries)[0])
-    dec = decomposition_search(w)
     return {
-        "zero_product_expectation": zero,
-        "minprod": mp.value,
-        "lambda_min": lam,
-        "decomposition_residual": dec.residual,
+        "zero_product_expectation": product_expectation(w, two_block_zero_product()),
+        **_floors("", w, cfg),
+        "decomposition_residual": decomposition_search(w).residual,
     }
 
 
@@ -487,25 +492,13 @@ def _build_two_block_quantify(cfg):
 
 def _build_qutrit_pair(cfg):
     ex = qutrit_pair_example()
-    m1 = min_product_expectation(ex.W1, cfg)
-    m2 = min_product_expectation(ex.W2, cfg)
-    return {
-        "w1_minprod": m1.value,
-        "w2_minprod": m2.value,
-        "w1_lambda_min": float(np.linalg.eigvalsh(ex.W1.entries)[0]),
-        "w2_lambda_min": float(np.linalg.eigvalsh(ex.W2.entries)[0]),
-    }
+    return {**_floors("w1_", ex.W1, cfg), **_floors("w2_", ex.W2, cfg)}
 
 
 def _build_choi_perturbations(cfg):
     w = w_xyz(1.0, 1.0, 0.0).operator
     q0, q1 = choi_perturbation_pair()
-    return {
-        "plus_q0_minprod": min_product_expectation(w + q0, cfg).value,
-        "plus_q1_minprod": min_product_expectation(w + q1, cfg).value,
-        "plus_q0_lambda_min": float(np.linalg.eigvalsh((w + q0).entries)[0]),
-        "plus_q1_lambda_min": float(np.linalg.eigvalsh((w + q1).entries)[0]),
-    }
+    return {**_floors("plus_q0_", w + q0, cfg), **_floors("plus_q1_", w + q1, cfg)}
 
 
 def _build_wxyz_conditions(cfg):
@@ -524,8 +517,6 @@ def _build_wxyz_conditions(cfg):
 
 
 def _build_isotropic_finer(cfg):
-    from .witness import is_finer, witness_from_separable
-
     q = -0.25
     sig = isotropic_sigma(q)
     coarse = witness_from_separable(sig, (1.0 + 2.0 * q) / 4.0, cfg)
@@ -539,8 +530,6 @@ def _build_isotropic_finer(cfg):
 
 
 def _build_pt_bell_2x3(cfg):
-    from .witness import classify
-
     w = pt_bell_witness_2x3()
     e02 = float(w.entries[2, 2].real)
     rep = classify(w, cfg)
@@ -558,8 +547,6 @@ def _build_pt_bell_2x3(cfg):
 
 
 def _build_lift_constant(cfg):
-    from .lift import lift_witness, operator_norm
-
     lifted = lift_witness(bell_state_witness(), cfg=cfg)
     # the constant comes from the closed form ||Y|| = ||W||^4; this row
     # reads ||Y|| by Lanczos on the structured Y, so the two rows check
@@ -572,8 +559,6 @@ def _build_lift_constant(cfg):
 
 
 def _build_lift_identity(cfg):
-    from .lift import lift_witness, symmetric_expectation_gap
-
     lifted = lift_witness(bell_state_witness(), cfg=cfg)
     return {
         "expectation_identity_gap": symmetric_expectation_gap(
@@ -584,8 +569,6 @@ def _build_lift_identity(cfg):
 
 
 def _build_lift_sign(cfg):
-    from .lift import lift_witness
-
     lifted = lift_witness(bell_state_witness(), cfg=cfg)
     minus = lifted.symmetric_part + lifted.asym_projector.scaled(
         -lifted.constant
@@ -602,24 +585,14 @@ def _build_lift_sign(cfg):
 
 def _build_choi_interval(cfg):
     sig_pt = partial_transpose(choi_sigma())
-    lam = float(np.linalg.eigvalsh(sig_pt.entries)[0])
-    shifted = sig_pt.shifted(1.0)
     return {
-        "pt_lambda_min": lam,
-        "shifted_by_one_lambda_min": float(
-            np.linalg.eigvalsh(shifted.entries)[0]
-        ),
+        "pt_lambda_min": _lambda_min(sig_pt),
+        "shifted_by_one_lambda_min": _lambda_min(sig_pt.shifted(1.0)),
     }
 
 
 def _build_isotropic_primed(cfg):
-    q = -0.3
-    w = isotropic_witness(q, primed=True)
-    mp = min_product_expectation(w, cfg)
-    return {
-        "minprod": mp.value,
-        "lambda_min": float(np.linalg.eigvalsh(w.entries)[0]),
-    }
+    return _floors("", isotropic_witness(-0.3, primed=True), cfg)
 
 
 def _build_choi_ppt_violation(cfg):
@@ -628,8 +601,6 @@ def _build_choi_ppt_violation(cfg):
 
 
 def _build_state_lift_probe(cfg):
-    from .lift import lift_state
-
     rho = HermitianOperator((2, 2), np.eye(4) / 4.0)
     lifted = lift_state(rho, 1.0, 1.0, 1.0, cfg=cfg)
     probe_cfg = OptimizerConfig(restarts=4, seed=cfg.seed, max_sweeps=80)

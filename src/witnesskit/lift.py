@@ -56,6 +56,7 @@ __all__ = [
     "LiftedWitness",
     "lift_state",
     "lift_witness",
+    "lifted_dim",
     "negative_direction",
     "operator_norm",
     "projector_sandwich_gap",
@@ -205,16 +206,21 @@ class LiftedWitness:
             )
 
 
-def _check_source(X, kind, power, C):
+def lifted_dim(X, kind):
+    """Dimension of the four-copy lift of X: four copies of a witness,
+    or of the state pair rho (x) rho."""
+    return X.side ** (4 if kind == "witness" else 8)
+
+
+def _check_source(X, kind, C):
     """The checks both lifts make before any lift work: a bipartite
-    ``HermitianOperator`` source whose lift, of X.side ** ``power``
-    dimensions (four copies of W, or of the pair rho (x) rho), fits
+    ``HermitianOperator`` source whose lift (``lifted_dim``) fits
     ``MAX_LIFT_TOTAL``, and a finite penalty override C."""
     if not isinstance(X, HermitianOperator):
         raise TypeError(f"lift_{kind} expects a HermitianOperator")
     if len(X.dims) != 2:
         raise DimensionError(f"{kind} must be bipartite, got dims {X.dims}")
-    total = X.side ** power
+    total = lifted_dim(X, kind)
     if total > MAX_LIFT_TOTAL:
         raise DimensionError(
             f"lift budget exceeded: the four-copy lift of a dim-{X.side} {kind} "
@@ -263,7 +269,7 @@ def lift_witness(W, C=None, cfg=None):
     while keeping negative eigenvalue directions whenever W has any.
     """
     cfg = cfg if cfg is not None else OptimizerConfig()
-    _check_source(W, "witness", 4, C)
+    _check_source(W, "witness", C)
     n = W.side
     report = classify(W, cfg)
     if not report.is_witness:
@@ -339,7 +345,7 @@ def lift_state(rho, alpha, beta, gamma, C=None, cfg=None):
     positive weights with gamma <= s^2 beta.
     """
     cfg = cfg if cfg is not None else OptimizerConfig()
-    _check_source(rho, "state", 8, C)
+    _check_source(rho, "state", C)
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)
     if not all(math.isfinite(w) and w > 0.0 for w in (alpha, beta, gamma)):
         raise ValueError("weights alpha, beta, gamma must all be positive and finite")

@@ -64,10 +64,24 @@ class NonFiniteError(ValueError):
     """Input matrix has a NaN or infinite entry."""
 
 
-def check_finite(arr, what):
-    """Raise ``NonFiniteError`` unless every entry of arr is finite."""
+def hermitian_array(matrix, what):
+    """A read-only complex copy of a square matrix (or of a
+    ``HermitianOperator``'s entries), checked finite and Hermitian
+    entrywise within ``HERMITICITY_ATOL``."""
+    if isinstance(matrix, HermitianOperator):
+        matrix = matrix.entries
+    arr = np.array(matrix, dtype=np.complex128)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise DimensionError(f"{what} must be square and nonempty, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{what} has non-finite entries")
+    gap = np.abs(arr - arr.conj().T).max()
+    if gap > HERMITICITY_ATOL:
+        raise NonHermitianError(
+            f"{what} is not Hermitian: max |X - X^dag| = {gap:.3e}"
+        )
+    arr.setflags(write=False)
+    return arr
 
 
 class HermitianOperator:
@@ -91,19 +105,12 @@ class HermitianOperator:
         if not dims or any(d < 1 for d in dims):
             raise DimensionError(f"invalid factor dimensions {dims!r}")
         side = math.prod(dims)
-        arr = np.array(entries, dtype=np.complex128)
+        arr = hermitian_array(entries, "matrix")
         if arr.shape != (side, side):
             raise DimensionError(
                 f"entries shape {arr.shape} does not match factor dims {dims} "
                 f"(expected {(side, side)})"
             )
-        check_finite(arr, "matrix")
-        gap = np.abs(arr - arr.conj().T).max() if side else 0.0
-        if gap > HERMITICITY_ATOL:
-            raise NonHermitianError(
-                f"matrix is not Hermitian: max |X - X^dag| = {gap:.3e}"
-            )
-        arr.setflags(write=False)
         self._dims = dims
         self._entries = arr
 

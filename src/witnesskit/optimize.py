@@ -71,6 +71,7 @@ import collections
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -122,6 +123,9 @@ class OptimizerConfig:
     max_sweeps: int = 1000
 
     def __post_init__(self):
+        for count in (self.restarts, self.max_sweeps):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError("restarts and max_sweeps must be integers")
         if not 1 <= self.restarts <= _MAX_RESTARTS:
             raise ValueError(f"restarts must be between 1 and {_MAX_RESTARTS}")
         for tol in (self.tol_converge, self.tol_zero):
@@ -868,13 +872,7 @@ def min_product_expectation(X, cfg=None, dims=None):
 def max_product_expectation(X, cfg=None, dims=None):
     """sup <u,v|X|u,v>, computed as -min over the negated operator."""
     cfg = cfg or OptimizerConfig()
-    if isinstance(X, HermitianOperator):
-        neg = -X
-    elif isinstance(X, StructuredOperator):
-        neg = X.scaled(-1.0)
-    else:
-        raise TypeError(f"unsupported operand type {type(X).__name__}")
-    res = min_product_expectation(neg, cfg, dims)
+    res = min_product_expectation(-X, cfg, dims)
     return replace(res, value=-res.value)
 
 

@@ -39,11 +39,8 @@ from scipy.linalg import get_blas_funcs
 
 from .operators import (
     DENSE_SIDE_CAP,
-    HERMITICITY_ATOL,
     DimensionError,
-    HermitianOperator,
-    NonHermitianError,
-    check_finite,
+    hermitian_array,
 )
 
 __all__ = [
@@ -111,17 +108,8 @@ class _BridgeFactor(_StructuralFactor):
 
 class DenseFactor(_Factor):
     def __init__(self, matrix):
-        if isinstance(matrix, HermitianOperator):
-            matrix = matrix.entries
-        arr = np.array(matrix, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"dense factor must be square, got {arr.shape}")
-        check_finite(arr, "dense factor")
-        if np.abs(arr - arr.conj().T).max() > HERMITICITY_ATOL:
-            raise NonHermitianError("dense factor is not Hermitian")
-        arr.setflags(write=False)
-        self.matrix = arr
-        self.dim = arr.shape[0]
+        self.matrix = hermitian_array(matrix, "dense factor")
+        self.dim = self.matrix.shape[0]
 
     def act(self, y):
         return np.matmul(self.matrix, y)
@@ -191,15 +179,8 @@ class SwapKronFactor(_Factor):
     """
 
     def __init__(self, m):
-        if isinstance(m, HermitianOperator):
-            m = m.entries
-        arr = np.array(m, dtype=np.complex128)
-        check_finite(arr, "SwapKronFactor block")
-        if np.abs(arr - arr.conj().T).max() > HERMITICITY_ATOL:
-            raise NonHermitianError("SwapKronFactor block is not Hermitian")
-        arr.setflags(write=False)
-        self.block = arr
-        self.n = arr.shape[0]
+        self.block = hermitian_array(m, "SwapKronFactor block")
+        self.n = self.block.shape[0]
         self.dim = self.n * self.n
 
     def act(self, y):
@@ -407,6 +388,9 @@ class StructuredOperator:
         return StructuredOperator(
             self.space_dims, [(c * coeff, fs) for coeff, fs in self.terms]
         )
+
+    def __neg__(self):
+        return self.scaled(-1.0)
 
     def __add__(self, other):
         if not isinstance(other, StructuredOperator):

@@ -406,6 +406,21 @@ class PerturbationReport:
     perturbation_class: object  # str | None
 
 
+def _perturbation_report(
+    before, after, zero_expectation=None, vanishes_on_zero_set=None, perturbation_class=None
+):
+    """W + P or W - Q (classified as ``after``) keeps a property only
+    if W (``before``) had it."""
+    return PerturbationReport(
+        classification=after,
+        survived_witness=before.is_witness and after.is_witness,
+        survived_weak_optimality=before.weakly_optimal and after.weakly_optimal,
+        zero_expectation=zero_expectation,
+        vanishes_on_zero_set=vanishes_on_zero_set,
+        perturbation_class=perturbation_class,
+    )
+
+
 def _require_positive(P, name):
     lam = float(np.linalg.eigvalsh(P.entries)[0])
     if lam < -PSD_ATOL:
@@ -448,10 +463,9 @@ def perturb_add_positive(W, P, cfg=None):
             if _covers_negative_space(W, P, cfg)
             else "keeps-negative-direction"
         )
-    return PerturbationReport(
-        classification=after,
-        survived_witness=after.is_witness,
-        survived_weak_optimality=before.weakly_optimal and after.weakly_optimal,
+    return _perturbation_report(
+        before,
+        after,
         zero_expectation=zero_expect,
         vanishes_on_zero_set=vanishes,
         perturbation_class=klass,
@@ -476,14 +490,7 @@ def perturb_subtract_positive(W, Q, cfg=None):
     _require_positive(Q, "Q")
     before = classify(W, cfg)
     after = classify(W - Q, cfg)
-    return PerturbationReport(
-        classification=after,
-        survived_witness=before.is_witness and after.is_witness,
-        survived_weak_optimality=before.weakly_optimal and after.weakly_optimal,
-        zero_expectation=None,
-        vanishes_on_zero_set=None,
-        perturbation_class=None,
-    )
+    return _perturbation_report(before, after)
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +502,16 @@ def quantify_over_set(rho, witnesses):
     """max(0, -min_W tr(W rho)) over a finite witness collection."""
     if not witnesses:
         raise ValueError("witness collection is empty")
+    operators = [_operator_of(w) for w in witnesses]
+    for W in operators:
+        if W.dims != rho.dims:
+            raise DimensionError(f"dims mismatch: witness {W.dims} vs rho {rho.dims}")
     vals = np.linalg.eigvalsh(rho.entries)
     if vals[0] < -1e-8:
         raise ValueError(f"rho is not PSD (lambda_min = {vals[0]:.3e})")
     if abs(rho.trace() - 1.0) > 1e-10:
         raise ValueError(f"rho must have unit trace, got {rho.trace():.12g}")
-    worst = min(
-        float((_operator_of(w).entries @ rho.entries).trace().real)
-        for w in witnesses
-    )
+    worst = min(float((W.entries @ rho.entries).trace().real) for W in operators)
     return max(0.0, -worst)
 
 

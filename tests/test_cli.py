@@ -454,6 +454,62 @@ def test_decompose_twice_in_one_process(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the report envelope
+# ---------------------------------------------------------------------------
+
+_ENVELOPE = ["command", "inputs", "results", "status"]
+_WITH_DIAGNOSTICS = ["command", "inputs", "results", "diagnostics", "status"]
+
+
+@pytest.mark.parametrize(
+    "argv, op, keys",
+    [
+        (["classify", "{}", "--restarts", "8"], sigma1().shifted(0.5), _ENVELOPE),
+        (["minprod", "{}", "--restarts", "8"], sigma1(), _WITH_DIAGNOSTICS),
+        (["minprod", "{}", "--restarts", "8", "--max"], sigma1(), _WITH_DIAGNOSTICS),
+        (["lift", "{}", "--mode", "witness", "--restarts", "8"], bell_state_witness(), _ENVELOPE),
+        (["decompose", "{}", "--restarts", "8"], two_block_witness(1.0, 1.0), _WITH_DIAGNOSTICS),
+        (["family", "--name", "sigma1"], None, _ENVELOPE),
+        (["reproduce", "--case", "werner-detection"], None, _ENVELOPE),
+    ],
+    ids=["classify", "minprod", "minprod-max", "lift", "decompose", "family", "reproduce"],
+)
+def test_report_envelope_key_order(tmp_path, capsys, argv, op, keys):
+    if op is not None:
+        path = _write_operator(tmp_path, "op.json", op)
+        argv = [path if a == "{}" else a for a in argv]
+    code, report = _run(capsys, argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_NOT_WITNESS)
+    assert list(report) == keys
+    assert report["command"] == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["family", "--name", "no-such-family"], ["classify", "no-such-file.json"]],
+)
+def test_error_report_shape(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, report = _run(capsys, argv)
+    assert code == cli.EXIT_ERROR
+    assert list(report) == ["command", "status", "error"]
+    assert report["command"] == argv[0]
+    assert report["status"] == "error"
+
+
+@pytest.mark.parametrize("raw, primed", [(None, False), ("1", True), ("0", False)])
+def test_family_primed_param_is_a_bool(capsys, raw, primed):
+    argv = ["family", "--name", "isotropic-sigma"]
+    if raw is not None:
+        argv += ["--param", f"primed={raw}"]
+    code, report = _run(capsys, argv)
+    assert code == cli.EXIT_OK
+    assert report["inputs"]["params"] == {"q": -0.25, "primed": primed}
+    op = operator_from_json(report["results"]["operator"])
+    np.testing.assert_array_equal(op.entries, families.isotropic_sigma(-0.25, primed).entries)
+
+
+# ---------------------------------------------------------------------------
 # reproduce
 # ---------------------------------------------------------------------------
 

@@ -80,6 +80,23 @@ def test_config_validation():
         OptimizerConfig(restarts=4097)
 
 
+def test_config_rejects_non_integer_counts():
+    # a float count used to pass here and fail deep in the search with
+    # "'float' object cannot be interpreted as an integer"
+    for field in ("restarts", "max_sweeps"):
+        for bad in (2.5, 3.0, np.float64(4.0), True, np.bool_(True), "8"):
+            with pytest.raises(ValueError, match="integers"):
+                OptimizerConfig(**{field: bad})
+    cfg = OptimizerConfig(restarts=np.int64(4), max_sweeps=np.int32(60))
+    assert cfg.restarts == 4 and cfg.max_sweeps == 60
+    assert min_product_expectation(sigma1(), cfg).value == pytest.approx(0.5, abs=1e-6)
+
+
+def test_max_product_expectation_rejects_unsupported_operands():
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        max_product_expectation(np.eye(4), CFG)
+
+
 def test_minprod_known_floor():
     res = min_product_expectation(sigma1(), CFG)
     assert res.value == pytest.approx(0.5, abs=1e-6)

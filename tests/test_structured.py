@@ -195,6 +195,26 @@ def test_structured_operator_validates_term_dims():
         _swap(2).matvec(np.zeros(5))
 
 
+def test_negated_structured_operator_is_scaled_by_minus_one():
+    S = _swap(3).scaled(2.0) + StructuredOperator((3, 3), [(1.0, (ClassicalProjectorFactor(3),))])
+    neg = -S
+    assert isinstance(neg, StructuredOperator)
+    np.testing.assert_array_equal(neg.to_dense(), S.scaled(-1.0).to_dense())
+    np.testing.assert_array_equal(neg.to_dense(), -S.to_dense())
+
+
+def test_factor_blocks_must_be_square_and_nonempty():
+    # every Hermitian block goes through one validator, so the swap-kron
+    # block is held to the dense factor's shape check too
+    for factory in (DenseFactor, SwapKronFactor):
+        with pytest.raises(DimensionError):
+            factory(np.zeros((2, 3)))
+        with pytest.raises(DimensionError):
+            factory(np.zeros(4))
+        with pytest.raises(DimensionError):
+            factory(np.zeros((0, 0)))
+
+
 def test_half_involution_projector_algebra():
     # (1/2)(I (x) I +- V (x) V) on (C^2 (x) C^2)^(x2); the lift's sandwich
     # projector is the + sign

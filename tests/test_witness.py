@@ -8,12 +8,13 @@ import pytest
 from witnesskit.families import (
     isotropic_witness,
     maximally_entangled,
+    pt_bell_witness_2x3,
     qutrit_pair_example,
     sigma1,
     two_block_witness,
     werner_state,
 )
-from witnesskit.operators import HermitianOperator, product_expectation
+from witnesskit.operators import DimensionError, HermitianOperator, product_expectation
 from witnesskit.optimize import (
     OptimizerConfig,
     max_product_expectation,
@@ -299,6 +300,33 @@ def test_quantify_over_set():
         quantify_over_set(werner_state(0.5), [])
     with pytest.raises(ValueError):
         quantify_over_set(sigma1(), [w])  # trace 3, not a state
+
+
+def test_quantify_over_set_rejects_mismatched_dims():
+    w = pt_bell_witness_2x3()
+    rho = np.eye(6) / 6.0
+    assert quantify_over_set(HermitianOperator((2, 3), rho), [w]) >= 0.0
+    # same side 6, transposed factors: the trace is defined but meaningless
+    with pytest.raises(DimensionError, match="dims mismatch"):
+        quantify_over_set(HermitianOperator((3, 2), rho), [w])
+    with pytest.raises(DimensionError):
+        quantify_over_set(werner_state(0.5), [isotropic_witness(-0.25), w])
+
+
+def test_perturb_add_reports_no_survival_for_a_non_witness():
+    # sigma1 - 0.6 I goes to -0.1 on products, so it is no witness;
+    # adding 0.15 I makes a witness, but nothing "survived"
+    W = sigma1().shifted(0.6)
+    P = HermitianOperator.identity((2, 2)) * 0.15
+    rep = perturb_add_positive(W, P, CFG)
+    assert not classify(W, CFG).is_witness
+    assert rep.classification.is_witness
+    assert not rep.survived_witness
+    assert not rep.survived_weak_optimality
+    # sigma1 is PSD; removing 0.45 I makes a witness out of no witness
+    sub = perturb_subtract_positive(sigma1(), P * 3.0, CFG)
+    assert sub.classification.is_witness
+    assert not sub.survived_witness
 
 
 def test_hyperplane_round_trip():
