@@ -214,6 +214,8 @@ def cmd_lift(args):
         "term_count": len(lifted.operator.terms),
         "constant": _num(lifted.constant, 1e-9),
         "y_norm": _num(lifted.y_norm, 1e-8),
+        # a proven bound, judged against no tolerance
+        "y_norm_bound": _num(lifted.y_norm_bound, 0.0),
         "probes": _lift_probes(lifted, cfg),
     }
     if args.mode == "state":

@@ -20,7 +20,9 @@ spectrum.  Everything here is matrix free: the lifted operators are
 65,536-dimensional state lift is never materialized densely.  The
 penalty's ||Y||_inf comes in closed form for witness lifts (||W||^4,
 one eigvalsh of W) and from ``operator_norm``, a three-vector Lanczos
-recurrence on the structured matvec, for state lifts.
+recurrence on the structured matvec, for state lifts.  A state lift
+also carries a proven upper bound on ||Y||_inf, the triangle inequality
+over its merged terms (``StructuredOperator.norm_bound``).
 """
 
 from __future__ import annotations
@@ -180,7 +182,10 @@ class LiftedWitness:
     lift and stays empty for witness lifts.  ``y_norm`` is ||Y||_inf
     for Y = ``symmetric_part``: the closed form ||W||^4 with its
     rounding allowance for witness lifts, the Lanczos value of
-    ``operator_norm`` for state lifts.  The module bound needs
+    ``operator_norm`` for state lifts, which can only sit at or below
+    ||Y||_inf.  ``y_norm_bound`` is a proven upper bound on ||Y||_inf:
+    the same closed form for witness lifts, ``norm_bound`` of Y for
+    state lifts (inf when none is known).  The module bound needs
     C >= 2 ||Y||_inf, so a ``constant`` below 2 ``y_norm`` (less 1e-9)
     is rejected.
     """
@@ -195,6 +200,7 @@ class LiftedWitness:
     source: HermitianOperator
     params: tuple = ()
     projector_invariance_gap: float = 0.0
+    y_norm_bound: float = math.inf
 
     def __post_init__(self):
         if not math.isfinite(self.constant):
@@ -230,7 +236,7 @@ def _check_source(X, kind, C):
         raise ValueError(f"penalty constant must be finite, got {C}")
 
 
-def _finish_lift(Y, C, cfg, y_norm, source_kind, source, params=()):
+def _finish_lift(Y, C, cfg, y_norm, y_norm_bound, source_kind, source, params=()):
     """Probe the symmetric part Y, set the penalty (default
     C = 2 ``y_norm``, with ``y_norm`` = ||Y||_inf) and assemble the
     ``LiftedWitness``."""
@@ -247,6 +253,7 @@ def _finish_lift(Y, C, cfg, y_norm, source_kind, source, params=()):
         asym_projector=asym,
         constant=constant,
         y_norm=y_norm,
+        y_norm_bound=y_norm_bound,
         space=Y.space_dims,
         source_kind=source_kind,
         source=source,
@@ -284,7 +291,8 @@ def lift_witness(W, C=None, cfg=None):
         (n, n, n, n),
         [(0.5, (block, block, block, block)), (0.5, (cross, cross))],
     )
-    return _finish_lift(Y, C, cfg, _witness_lift_norm(W), "witness", W)
+    y_norm = _witness_lift_norm(W)
+    return _finish_lift(Y, C, cfg, y_norm, y_norm, "witness", W)
 
 
 def _state_symmetric_terms(rho_tilde, s, alpha, beta, gamma):
@@ -369,7 +377,9 @@ def lift_state(rho, alpha, beta, gamma, C=None, cfg=None):
         (s, s, s, s), _state_symmetric_terms(rho_tilde, s, alpha, beta, gamma)
     )
     y_norm = operator_norm(Y, seed=cfg.seed)
-    return _finish_lift(Y, C, cfg, y_norm, "state", rho, (alpha, beta, gamma))
+    return _finish_lift(
+        Y, C, cfg, y_norm, Y.norm_bound(), "state", rho, (alpha, beta, gamma)
+    )
 
 
 def symmetric_expectation_gap(lifted, n_probes=50, seed=0):

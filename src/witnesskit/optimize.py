@@ -30,10 +30,21 @@ which sits next to the answer.  Its pair is kept only if its residual
 puts an eigenvalue within delta = 1e-9 (1 + |lambda|) of lambda and a
 carried gap bound proves that eigenvalue the lowest: each row carries,
 per half, a proven lower bound on lambda_2 of the matrix it last
-solved, seeded by ``zheevr`` and lowered by ||M - M_prev||_F at each
-later half-step (Weyl's inequality).  Otherwise ``zheevr`` solves the
-half-step and reseeds the bound.  The 256-dim state-lift probe
-certifies 158 of a restart's 160 half-steps, in 3 Lanczos steps each.
+solved, seeded by ``zheevr`` and lowered at each later half-step by an
+upper bound on ||M - M_prev||_2 (Weyl's inequality).  Otherwise
+``zheevr`` solves the half-step and reseeds the bound.
+
+On a structured operator those half-steps are matrix-free
+(``_Conditioned``): the weights c_k Re<w|L_k|w> and the products
+M x = sum_k w_k R_k x + bridges go through the split rows' own
+factors, O(d) to O(d^1.5) each, and the bridge atoms' closed forms.
+The drift bound is then sum_k |w_k - w'_k| nu_k plus the bridges'
+closed forms, O(r + d), with nu_k >= ||R_k||_2 fixed at build; and the
+dense conditioned matrix is built only when ``zheevr`` runs.  Dense
+operators keep dense matrices and the Frobenius drift ||M - M_prev||_F.
+The 256-dim state-lift probe certifies 158 of a restart's 160
+half-steps, in 3 Lanczos steps each, and builds the dense matrix for
+the other 2.
 
 Plain sweeps are alternating least squares, which crawls through flat
 valleys: on Choi sigma, 19 of 64 restarts at seed 0 reached the
@@ -75,7 +86,7 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, get_blas_funcs, get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .operators import (
     DENSE_SIDE_CAP,
@@ -84,7 +95,14 @@ from .operators import (
     ProductVector,
 )
 from .sampling import random_unit_vector, rng_for
-from .structured import StructuredOperator, _term_key
+from .structured import (
+    DenseFactor,
+    StructuredOperator,
+    SwapKronFactor,
+    _apply_plan,
+    _term_key,
+    _term_plan,
+)
 
 __all__ = [
     "DecompositionResult",
@@ -188,16 +206,51 @@ class _SplitKernel:
     and each adds itself into every row's M in place, the swap from the
     w w^H the weight GEMM already uses and the rank-one reversal
     through BLAS ``zgeru``, so no bridge allocates a d-by-d temporary.
+
+    A structured kernel with a half of ``_KRYLOV_MIN_SIDE`` dims or more
+    also keeps each split row's halves in matrix-free form
+    (``_half_operator``): the ``_term_plan`` terms of its parts, over
+    Hermitized factors, and its norm bound nu.  ``conditioned`` then
+    hands the see-saw one ``_Conditioned`` per row for a free half of
+    that size; the flattened rows serve the dense build that ``zheevr``
+    needs.  Those products run the plans through
+    ``structured._apply_plan``, not ``StructuredOperator.matvec``, which
+    stays the whole-space product.  ``_scale`` is the kernel's Frobenius
+    scale of the rounding allowance (``_gap_slack``).
     """
 
     def __init__(self, X, dims=None):
+        rows = None
         if isinstance(X, HermitianOperator):
             stacks = _dense_split(X, dims)
         elif isinstance(X, StructuredOperator):
-            stacks = _structured_split(X, dims)
+            stacks, rows = _structured_split(X, dims)
         else:
             raise TypeError(f"unsupported operand type {type(X).__name__}")
         self.d_a, self.d_b, self._coeffs, self._left, self._right, self._bridges = stacks
+        # matrix-free halves, keyed by the pinned half: the (plan, nu) of
+        # each split row's pinned half, then of its free half
+        self._free = None
+        if rows is not None and max(self.d_a, self.d_b) >= _KRYLOV_MIN_SIDE:
+            left = [_half_operator(parts) for parts, _ in rows]
+            right = [_half_operator(parts) for _, parts in rows]
+            self._free = {"A": (left, right), "B": (right, left)}
+            # sum_k |c_k| ||L_k||_F ||R_k||_F + sum_b |c_b| bounds the
+            # Frobenius norm of every conditioned matrix on a unit vector
+            self._scale = float(
+                np.abs(self._coeffs)
+                @ (np.linalg.norm(self._left, axis=1) * np.linalg.norm(self._right, axis=1))
+            ) + sum(abs(coeff) for coeff, _ in self._bridges)
+
+    def conditioned(self, half, W):
+        """The conditioned matrices of the rows of W ``(n, d)`` pinned in
+        ``half`` ("A": <u|X|u>, "B": <v|X|v>): one ``_Conditioned`` per row
+        when the kernel has matrix-free halves and the free half has
+        ``_KRYLOV_MIN_SIDE`` dims or more, else the dense stack."""
+        free_side = self.d_b if half == "A" else self.d_a
+        if self._free is not None and free_side >= _KRYLOV_MIN_SIDE:
+            return [_Conditioned(self, half, w) for w in W]
+        return self.cond_a(W) if half == "A" else self.cond_b(W)
 
     def cond_a(self, u):
         """<u|X|u> on B: (d_b, d_b) for u of shape (d_a,), (n, d_b, d_b)
@@ -227,6 +280,92 @@ class _SplitKernel:
             for i in range(n):
                 factor.add_bridge_cond(M[i], coeff, rows[i], ww[i])
         return M if w.ndim == 2 else M[0]
+
+
+class _Conditioned:
+    """One see-saw row's conditioned matrix M(w), held matrix-free.
+
+    With w pinned in one half, M(w) = sum_k w_k R_k + sum_b c_b B_b(w):
+    ``weights`` w_k = Re<w|L_k|w> come from the split rows' pinned halves
+    L_k and the products from their free halves R_k, both applied
+    through the rows' own structured factors (``_apply_plan``), and each
+    bridge atom adds its closed-form product.  Every L_k and R_k is
+    built from Hermitized copies of the rows' dense blocks, so M(w) is
+    Hermitian for any computed weights.  ``dense()`` builds the same
+    matrix through ``cond_a``/``cond_b``; ``drift(prev)`` bounds
+    ||M(w) - M(w')||_2 against the row's previous operator;
+    ``allowance`` is the rounding allowance at this side (``_gap_slack``).
+    """
+
+    __slots__ = ("kernel", "half", "w", "weights", "shape")
+
+    def __init__(self, kernel, half, w):
+        pinned, _ = kernel._free[half]
+        self.kernel, self.half, self.w = kernel, half, w
+        self.weights = [
+            _ZDOTC(w, _apply_plan(plan, w, np.zeros_like(w))).real for plan, _ in pinned
+        ]
+        side = kernel.d_b if half == "A" else kernel.d_a
+        self.shape = (side, side)
+
+    @property
+    def allowance(self):
+        return _gap_slack(self.shape[0]) * self.kernel._scale
+
+    def matvec(self, x):
+        _, free = self.kernel._free[self.half]
+        out = np.zeros(self.shape[0], dtype=np.complex128)
+        for (plan, _), weight in zip(free, self.weights):
+            out = _apply_plan(plan, x, out, weight)
+        for coeff, factor in self.kernel._bridges:
+            out = factor.add_cond_matvec(out, coeff, self.w, x)
+        return out
+
+    def expectation(self, x):
+        return float(_ZDOTC(x, self.matvec(x)).real)
+
+    def drift(self, prev):
+        """An upper bound on ||M(w) - M(w')||_2, w' = prev.w, in O(r + d):
+        sum_k |w_k - w'_k| nu_k + sum_b |c_b| ||B_b(w) - B_b(w')||_2, by the
+        triangle inequality, nu_k >= ||R_k||_2 and the atoms' closed
+        forms (``cond_drift``).  A closed form reads dot products of unit
+        d-vectors, so it can fall short of the exact value by a few d eps
+        even where that value is near 0; each bridge adds 4 d eps |c_b|
+        for that."""
+        _, free = self.kernel._free[self.half]
+        total = sum(abs(w - w0) * nu for w, w0, (_, nu) in zip(self.weights, prev.weights, free))
+        rounding = 4.0 * self.shape[0] * _EPS
+        for coeff, factor in self.kernel._bridges:
+            total += abs(coeff) * (factor.cond_drift(self.w, prev.w) + rounding)
+        return total
+
+    def dense(self):
+        return self.kernel.cond_a(self.w) if self.half == "A" else self.kernel.cond_b(self.w)
+
+
+def _half_operator(parts):
+    """The matrix-free form of one half of a split row, sum_j c_j (x)F_j:
+    its ``_term_plan`` terms over Hermitized factors, and the norm bound
+    nu = sum_j |c_j| prod ||F||_2 (``norm``: a singular value for a dense
+    block, ||m||^2 for a ``SwapKronFactor``, 1 for a structural atom)."""
+    plan, nu = [], 0.0
+    for coeff, factors in parts.values():
+        factors = [_hermitized(f) for f in factors]
+        plan.append(_term_plan(coeff, factors))
+        nu += abs(coeff) * math.prod(f.norm() for f in factors)
+    return tuple(plan), nu
+
+
+def _hermitized(factor):
+    """``factor`` with its matrix replaced by the Hermitian part, which
+    leaves an exactly Hermitian block bitwise unchanged."""
+    if isinstance(factor, DenseFactor):
+        m = factor.matrix
+        return DenseFactor((m + m.conj().T) / 2.0)
+    if isinstance(factor, SwapKronFactor):
+        m = factor.block
+        return SwapKronFactor((m + m.conj().T) / 2.0)
+    return factor
 
 
 def _hermitian_basis(d):
@@ -282,7 +421,9 @@ def _structured_split(S, dims):
     Split rows with equal halves merge, halves compared by the keys of
     the matvec plan: rows with equal right halves first sum their left
     halves, then rows with equal single left halves sum their right
-    halves.  The state lift's seven rows become four for any state."""
+    halves.  The state lift's seven rows become four for any state.
+    Returns the stacks and the rows, as (left parts, right parts) dicts
+    of (coefficient, factors)."""
     total = S.total_dim
     if dims is None:
         root = math.isqrt(total)
@@ -334,7 +475,7 @@ def _structured_split(S, dims):
     right = np.empty((len(rows), d_b * d_b), dtype=np.complex128)
     for k, (lefts, rights) in enumerate(rows):
         coeffs[k] = _fill_half(left[k], lefts, d_a) * _fill_half(right[k], rights, d_b)
-    return d_a, d_b, coeffs, left, right, tuple(bridges.values())
+    return (d_a, d_b, coeffs, left, right, tuple(bridges.values())), rows
 
 
 def _add_part(parts, coeff, item, key):
@@ -418,22 +559,42 @@ def _lanczos(matvec, q):
 
 def _gap_slack(n):
     """Rounding allowance of the carried gap bound at side n, relative to
-    a Frobenius norm: 4 n^2 eps covers the rounding of ||M - M_prev||_F
-    (a sum of 2 n^2 squares), zheevr's backward error in lambda_2, and
-    the gap between the Hermitian part (M + M^H) / 2, which the bound
-    follows, and the upper triangle that the eigensolvers read: at most
-    ||M - M^H||_F / 2, which the kernel's GEMMs keep near 3e-18 ||M||_F
-    on the 256-dim probe (measured), against 5.8e-11 here."""
+    a Frobenius scale: 4 n^2 eps (5.8e-11 at n = 256).
+
+    On a dense M the scale is ||M||_F.  The allowance covers the rounding
+    of ||M - M_prev||_F (a sum of 2 n^2 squares), zheevr's backward error
+    in lambda_2, and the gap between the Hermitian part (M + M^H) / 2,
+    which the bound follows, and the upper triangle that the eigensolvers
+    read: at most ||M - M^H||_F / 2, which the kernel's GEMMs keep near
+    3e-18 ||M||_F on the 256-dim probe (measured).
+
+    On a matrix-free ``_Conditioned`` the scale is the kernel's
+    sigma = sum_k |c_k| ||L_k||_F ||R_k||_F + sum_b |c_b|, fixed at build.
+    It bounds ||M||_F on every unit pinned vector (|w_k| <= |c_k|
+    ||L_k||_2, and a conditioned bridge has Frobenius norm at most
+    |c_b|), so the allowance is never below the dense one.  Besides the
+    items above it covers the gap between the Hermitian M~ that the
+    matrix-free product applies and the dense D that zheevr solves at a
+    reseed.  A weight, computed through either path, is a sum of at most
+    2 n^2 products and lies within 2 n^2 eps |c_k| ||L_k||_F of the exact
+    one (Cauchy-Schwarz on the entries); each entry of D adds r + 2
+    rounding steps; so ||D - M~||_2 <= ||D - M~||_F <= (2 n^2 + r + 2)
+    eps sigma to first order.  It also covers the rounding of the
+    product in the residual test, at most n steps an entry."""
     return 4.0 * n * n * _EPS
 
 
 class _GapBound:
     """What a see-saw row carries from one half-step of a half to the next.
 
-    ``floor`` is a proven lower bound on lambda_2 of the Hermitian part
-    of ``prev``, the conditioned matrix the row solved last (-inf before
-    the first solve); ``diff`` is the reused buffer for M - prev.  ``prev``
-    is held, not copied: the caller must not change it afterwards.
+    ``floor`` is a proven lower bound on lambda_2 of ``prev``, the
+    conditioned matrix the row solved last (-inf before the first
+    solve).  ``prev`` is that matrix as the solve got it: a dense array,
+    whose Hermitian part the bound follows (``diff`` is the reused buffer
+    for M - prev), or a matrix-free ``_Conditioned``, which holds only its
+    weights and pinned vector, O(r + d) numbers in place of a d-by-d
+    matrix.  Either is held, not copied: the caller must not change it
+    afterwards.
     """
 
     __slots__ = ("prev", "floor", "diff")
@@ -443,47 +604,76 @@ class _GapBound:
         self.floor = -math.inf
 
 
+_STEV = get_lapack_funcs("stev", dtype=np.float64)
+
+
+def _tridiagonal_ground(alphas, betas):
+    """Lowest eigenvalue and unit eigenvector of the symmetric
+    tridiagonal with diagonal ``alphas`` and off-diagonal ``betas``, by
+    LAPACK ``stev`` (ascending order); size 1 is its own answer, since
+    ``stev`` rejects an empty off-diagonal."""
+    if len(alphas) == 1:
+        return alphas[0], np.ones(1)
+    vals, vecs, info = _STEV(np.array(alphas), np.array(betas))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stev failed (info={info})")
+    return float(vals[0]), vecs[:, 0]
+
+
 def _krylov_ground_pair(M, start, floor):
     """Ground pair of M by Lanczos from ``start``, or None if uncertified.
 
-    Up to ``_KRYLOV_MAX_STEPS`` Lanczos steps run until the lowest Ritz
-    pair's residual estimate is at most delta (else None).  An answer
-    (lam, x), with lam the Rayleigh quotient of the unit Ritz vector x, is
+    M is a dense Hermitian array or a matrix-free ``_Conditioned``.  Up to
+    ``_KRYLOV_MAX_STEPS`` Lanczos steps run until the lowest Ritz pair's
+    residual estimate is at most delta (else None); the step's
+    tridiagonal is solved by ``_tridiagonal_ground``.  An answer (lam,
+    x), with lam the Rayleigh quotient of the unit Ritz vector x, is
     returned only if ||Mx - lam x|| <= delta, with delta = 1e-9
     (1 + |lam|) the see-saw's own monotonicity slack, and lam + delta
-    lies below ``floor`` less ``_gap_slack``.  The residual puts an
-    eigenvalue within delta of lam; ``floor`` is a proven lower bound on
-    lambda_2 of the Hermitian part of M, so that eigenvalue is lambda_1,
+    lies below ``floor`` less the rounding allowance (``_gap_slack``).
+    The residual puts an eigenvalue within delta of lam; ``floor`` is a
+    proven lower bound on lambda_2 of M, so that eigenvalue is lambda_1,
     and x lies within angle delta / (floor - lam) of the ground vector.
-    An excited pair that Lanczos reached from a start with no
-    ground-state component lies at or above lambda_2 and fails the test,
-    and so does any pair of a degenerate ground space.  The upper
-    triangle of the C-ordered M is read, as ``zheevr`` does: the Fortran
-    view M.T holds it as its lower triangle, so BLAS works on conj(M),
-    which has the same spectrum and conjugate eigenvectors, without a
-    copy.
+    No reorthogonalization is needed for an extreme pair (Paige, Linear
+    Algebra Appl. 34, 1980), and the final residual is measured, not
+    estimated.  An excited pair that Lanczos reached from a start with
+    no ground-state component lies at or above lambda_2 and fails the
+    test, and so does any pair of a degenerate ground space.
+
+    A dense M is read in its upper triangle, as ``zheevr`` does: the
+    Fortran view M.T holds it as its lower triangle, so BLAS works on
+    conj(M), which has the same spectrum and conjugate eigenvectors,
+    without a copy.  A ``_Conditioned`` supplies its own product.
     """
     n = M.shape[0]
-    A = M.T
-    basis = []  # Lanczos vectors of conj(M), from conj(start)
-    steps = _lanczos(lambda q: _ZHEMV(1.0, A, q, lower=1), start.conj() / _ZNRM2(start))
+    if isinstance(M, np.ndarray):
+        A = M.T
+        limit = floor - _gap_slack(n) * _ZNRM2(M.reshape(-1))
+        pair = _lanczos_ground_pair(lambda q: _ZHEMV(1.0, A, q, lower=1), start.conj(), limit)
+        return None if pair is None else (pair[0], pair[1].conj())
+    return _lanczos_ground_pair(M.matvec, start, floor - M.allowance)
+
+
+def _lanczos_ground_pair(matvec, start, limit):
+    """The certified pair of ``_krylov_ground_pair`` for a Hermitian
+    ``matvec``, with ``limit`` the floor less its allowance."""
+    basis = []
+    steps = _lanczos(matvec, start / _ZNRM2(start))
     for alphas, betas, beta, q in itertools.islice(steps, _KRYLOV_MAX_STEPS):
         basis.append(q)
-        vals, vecs = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-        if beta * abs(vecs[-1, 0]) <= 1e-9 * (1.0 + abs(vals[0])):
+        val, vec = _tridiagonal_ground(alphas, betas)
+        if beta * abs(vec[-1]) <= 1e-9 * (1.0 + abs(val)):
             break
     else:
         return None
-    y = vecs[:, 0] @ np.array(basis)  # y = conj(x)
+    y = vec @ np.array(basis)
     y /= _ZNRM2(y)
-    Ay = _ZHEMV(1.0, A, y, lower=1)
+    Ay = matvec(y)
     lam = float(_ZDOTC(y, Ay).real)
     delta = 1e-9 * (1.0 + abs(lam))
-    if _ZNRM2(Ay - lam * y) > delta:
+    if _ZNRM2(Ay - lam * y) > delta or lam + delta >= limit:
         return None
-    if lam + delta >= floor - _gap_slack(n) * _ZNRM2(M.reshape(-1)):
-        return None
-    return lam, y.conj()
+    return lam, y
 
 
 def _lowest_pairs(M, count):
@@ -497,43 +687,63 @@ def _lowest_pairs(M, count):
 
 
 def _ground_pair(M, start=None, bound=None):
-    """Lowest eigenvalue and a unit eigenvector of a complex Hermitian M.
+    """Lowest eigenvalue and a unit eigenvector of a complex Hermitian M,
+    a dense array (only its upper triangle is read) or a matrix-free
+    ``_Conditioned``.
 
     The see-saw calls it row by row for halves larger than
     ``_STACKED_EIGH_MAX_SIDE``; smaller ones are solved as a stack by
     ``_ground_pairs``.  The raw LAPACK call, not ``scipy.linalg.eigh``,
-    keeps the per-call overhead low.  Only the upper triangle of M is
-    read.  Without a ``bound``, and for sides below
-    ``_KRYLOV_MIN_SIDE``, LAPACK ``zheevr`` computes the pair.
+    keeps the per-call overhead low.  Without a ``bound``, and for sides
+    below ``_KRYLOV_MIN_SIDE``, LAPACK ``zheevr`` computes the pair.
 
     From that side up, the see-saw passes the row's ``_GapBound`` for
     this half, with ``start`` the vector the solve replaces.  The bound's
-    floor first drops by ||M - prev||_F: the Hermitian parts of M and
-    prev differ by at most that much in operator norm, so by Weyl's
-    inequality it still bounds lambda_2 of M's Hermitian part.  A capped
-    Lanczos run is then kept if ``_krylov_ground_pair`` certifies it by
-    that floor, the only certificate.  Otherwise, and on a bound's first
-    solve, ``zheevr`` computes lambda_1 and lambda_2 and reseeds the
-    floor at lambda_2 less its rounding allowance, so a spent floor is
-    renewed at the next failed test.  M is kept as the bound's new
-    ``prev``.
+    floor first drops by (1 + ``_gap_slack``) times an upper bound on
+    ||M - prev||_2.  For a dense M that is ||M - prev||_F of the two
+    arrays, which bounds the distance of their Hermitian parts.  For a
+    ``_Conditioned`` it is ``drift``, O(r + d) work: the two matrices are
+    sum_k w_k R_k + sum_b c_b B_b(w) at two weight vectors and two pinned
+    vectors, so by the triangle inequality ||M - prev||_2 <= sum_k
+    |w_k - w'_k| ||R_k||_2 + sum_b |c_b| ||B_b(w) - B_b(w')||_2, each
+    ||R_k||_2 is at most its row's nu_k (the triangle inequality again,
+    with ||A (x) B|| = ||A|| ||B||), and each bridge term has a closed
+    form; the (1 + ``_gap_slack``) factor covers the relative rounding of
+    the bound and of the nu_k, whose singular values are within a few
+    side-many ulps of the exact ones.  Either way, by Weyl's inequality
+    the floor still bounds lambda_2 of M.  A capped Lanczos run is then
+    kept if ``_krylov_ground_pair`` certifies it by that floor, the only
+    certificate.  Otherwise, and on a bound's first solve, ``zheevr``
+    computes lambda_1 and lambda_2 and reseeds the floor at lambda_2 less
+    its rounding allowance, so a spent floor is renewed at the next
+    failed test; a ``_Conditioned`` builds its dense matrix for this
+    solve alone.  M is kept as the bound's new ``prev``.
     """
     n = M.shape[0]
+    dense = isinstance(M, np.ndarray)
     if bound is None or n < _KRYLOV_MIN_SIDE:
-        vals, vecs = _lowest_pairs(M, 1)
+        vals, vecs = _lowest_pairs(M if dense else M.dense(), 1)
         return float(vals[0]), vecs[:, 0]
     prev, bound.prev = bound.prev, M
     if prev is not None:
-        if bound.diff is None:
-            bound.diff = np.empty(M.size, dtype=np.complex128)
-        diff = _ZCOPY(M.reshape(-1), bound.diff)
-        diff = _ZAXPY(prev.reshape(-1), diff, a=-1.0)
-        bound.floor -= (1.0 + _gap_slack(n)) * math.sqrt(_ZDOTC(diff, diff).real)
+        if dense:
+            if bound.diff is None:
+                bound.diff = np.empty(M.size, dtype=np.complex128)
+            diff = _ZCOPY(M.reshape(-1), bound.diff)
+            diff = _ZAXPY(prev.reshape(-1), diff, a=-1.0)
+            drift = math.sqrt(_ZDOTC(diff, diff).real)
+        else:
+            drift = M.drift(prev)
+        bound.floor -= (1.0 + _gap_slack(n)) * drift
         pair = _krylov_ground_pair(M, start, bound.floor)
         if pair is not None:
             return pair
-    vals, vecs = _lowest_pairs(M, 2)
-    bound.floor = float(vals[1]) - _gap_slack(n) * _ZNRM2(M.reshape(-1))
+    if dense:
+        vals, vecs = _lowest_pairs(M, 2)
+        bound.floor = float(vals[1]) - _gap_slack(n) * _ZNRM2(M.reshape(-1))
+    else:
+        vals, vecs = _lowest_pairs(M.dense(), 2)
+        bound.floor = float(vals[1]) - M.allowance
     return float(vals[0]), vecs[:, 0]
 
 
@@ -562,9 +772,11 @@ def _ground_pairs(M, starts, bounds):
     cores, the tasks of a ``seesaw-small`` pass took 1.1 s, against
     4.2 to 4.6 s for the per-restart loop this replaced.  Larger sides
     solve row by row with ``_ground_pair``, each warm-started from its
-    row of ``starts`` and carrying its row's ``_GapBound`` of ``bounds``.
+    row of ``starts`` and carrying its row's ``_GapBound`` of ``bounds``;
+    M may then also be a list of matrix-free ``_Conditioned``, one a row
+    (``_SplitKernel.conditioned``).
     """
-    if M.shape[-1] <= _STACKED_EIGH_MAX_SIDE:
+    if isinstance(M, np.ndarray) and M.shape[-1] <= _STACKED_EIGH_MAX_SIDE:
         vals, vecs = np.linalg.eigh(M, UPLO="U")
         return vals[:, 0], vecs[:, :, 0]
     lams = np.empty(len(M))
@@ -710,8 +922,11 @@ def _seesaw_rows(kernel, cfg, lo, starts):
     idx = np.arange(lo, lo + len(starts))
     U = starts[:, : kernel.d_a].copy()
     V = starts[:, kernel.d_a :].copy()
-    M = kernel.cond_a(U)  # also the first A half-step's stack
-    value = np.einsum("ni,nij,nj->n", V.conj(), M, V).real
+    M = kernel.conditioned("A", U)  # also the first A half-step's
+    if isinstance(M, np.ndarray):
+        value = np.einsum("ni,nij,nj->n", V.conj(), M, V).real
+    else:
+        value = np.array([m.expectation(v) for m, v in zip(M, V)])
     bounds = np.empty((idx.size, 2), dtype=object)  # None: no bound
     if max(kernel.d_a, kernel.d_b) >= _KRYLOV_MIN_SIDE:
         bounds.flat = [_GapBound() for _ in range(bounds.size)]
@@ -726,10 +941,10 @@ def _seesaw_rows(kernel, cfg, lo, starts):
             # each solve starts from the vector it replaces
             if half == "A":
                 if sweep > 1:
-                    M = kernel.cond_a(U)
+                    M = kernel.conditioned("A", U)
                 lam, V = _ground_pairs(M, V, bounds[:, 0])
             else:
-                lam, U = _ground_pairs(kernel.cond_b(V), U, bounds[:, 1])
+                lam, U = _ground_pairs(kernel.conditioned("B", V), U, bounds[:, 1])
             if np.any(lam > value + 1e-9 * (1.0 + np.abs(value))):
                 raise RuntimeError(
                     "see-saw objective increased; conditioned matrix is inconsistent"

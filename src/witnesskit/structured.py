@@ -21,8 +21,11 @@ one reshape and transpose, and nothing is moved to the front and back.
 
 Factors that cover a full balanced bipartition are bridge atoms: they
 add their closed-form conditioned matrix <w (x) b|T|w (x) d>, used by
-the product see-saw, into a matrix in place (``add_bridge_cond``); for
-the atoms here that matrix is the same whichever half carries w.
+the product see-saw, into a matrix in place (``add_bridge_cond``), or
+its product with a vector (``add_cond_matvec``), and bound in closed
+form how far it moves between two w (``cond_drift``); for the atoms
+here that matrix is the same whichever half carries w.  Every factor
+also states its operator norm (``norm``).
 
 Structural atoms have exact 0/+-1 entries and the sym/asym projectors
 exact +-1/2 weights, so their algebra (V^2 = I, P^2 = P, ...) holds to
@@ -63,7 +66,8 @@ class _Factor:
     partial permutations instead set ``support = (rows, cols)``: output
     index rows[i] takes input index cols[i], every other output index is
     zero.  ``key`` names the factor when equal terms merge; a factor
-    that carries a matrix is only equal to itself.
+    that carries a matrix is only equal to itself.  ``norm()`` is the
+    factor's operator 2-norm, as computed in floating point.
     """
 
     dim = 0
@@ -79,16 +83,45 @@ class _Factor:
     def dense(self):
         raise NotImplementedError
 
+    def norm(self):
+        raise NotImplementedError
+
 
 class _StructuralFactor(_Factor):
-    """An atom fixed by its type and dim, so equal atoms share a key."""
+    """An atom fixed by its type and dim, so equal atoms share a key.
+    Every atom here is a permutation, a partial permutation or a
+    projector, so its norm is 1."""
 
     @property
     def key(self):
         return (type(self), self.dim)
 
+    def norm(self):
+        return 1.0
 
-_ZAXPY, _ZGERU = get_blas_funcs(("axpy", "geru"), dtype=np.complex128)
+
+_ZAXPY, _ZDOTC, _ZGERU, _ZNRM2 = get_blas_funcs(
+    ("axpy", "dotc", "geru", "nrm2"), dtype=np.complex128
+)
+
+
+def _rank_one_drift(w, w_prev):
+    """||w w^H - w' w'^H||_2 in closed form, O(d).
+
+    The difference has rank at most two, trace a - b and eigenvalue
+    product |c|^2 - a b, with a = |w|^2, b = |w'|^2, c = <w|w'>; and
+    a b - |c|^2 = a |r|^2 for r = w' - (c / a) w (Lagrange's identity).
+    So its norm is |a - b| / 2 + hypot((a - b) / 2, sqrt(a) |r|), which
+    is sqrt(1 - |<w|w'>|^2) for unit vectors.  Reading the cross term
+    off |r| rather than 1 - |c|^2 keeps it accurate to a few ulps of 1
+    when w' is close to w, where 1 - |c|^2 would cancel."""
+    a = _ZDOTC(w, w).real
+    b = _ZDOTC(w_prev, w_prev).real
+    if a == 0.0:
+        return b
+    r = _ZAXPY(w, w_prev.copy(), a=-_ZDOTC(w, w_prev) / a)
+    half = 0.5 * abs(a - b)
+    return half + math.hypot(half, math.sqrt(a) * _ZNRM2(r))
 
 
 class _BridgeFactor(_StructuralFactor):
@@ -98,11 +131,20 @@ class _BridgeFactor(_StructuralFactor):
     ``add_bridge_cond(M, coeff, w, ww)`` adds coeff <w,b|T|w,d> into the
     C-ordered n-by-n matrix M in place, given ww = outer(w, conj(w)),
     which the see-saw kernel builds anyway; no n-by-n temporary is made.
-    Each atom is fixed by its type and dim, so equal atoms of one
-    operator can share one summed coefficient.
+    ``add_cond_matvec(out, coeff, w, x)`` adds coeff B(w) x into out, for
+    B(w) that conditioned matrix, in O(n), and returns out.
+    ``cond_drift(w, w_prev)`` is ||B(w) - B(w_prev)||_2 in closed form,
+    exact up to rounding.  Each atom is fixed by its type and dim, so
+    equal atoms of one operator can share one summed coefficient.
     """
 
     def add_bridge_cond(self, M, coeff, w, ww):
+        raise NotImplementedError
+
+    def add_cond_matvec(self, out, coeff, w, x):
+        raise NotImplementedError
+
+    def cond_drift(self, w, w_prev):
         raise NotImplementedError
 
 
@@ -116,6 +158,11 @@ class DenseFactor(_Factor):
 
     def dense(self):
         return self.matrix
+
+    def norm(self):
+        # the largest singular value: the 2-norm of the stored matrix,
+        # which is Hermitian only within HERMITICITY_ATOL
+        return float(np.linalg.norm(self.matrix, 2))
 
 
 class IdentityFactor(_StructuralFactor):
@@ -151,6 +198,12 @@ class SwapFactor(_BridgeFactor):
         # <w,b|V|w,d> = w_b conj(w_d) = ww: rank one, same for either half
         _ZAXPY(ww.reshape(-1), M.reshape(-1), a=coeff)
 
+    def add_cond_matvec(self, out, coeff, w, x):
+        return _ZAXPY(w, out, a=coeff * _ZDOTC(w, x))
+
+    def cond_drift(self, w, w_prev):
+        return _rank_one_drift(w, w_prev)
+
 
 class ClassicalProjectorFactor(_BridgeFactor):
     """P_cl on C^d (x) C^d: keeps only the |ii> components."""
@@ -169,6 +222,14 @@ class ClassicalProjectorFactor(_BridgeFactor):
     def add_bridge_cond(self, M, coeff, w, ww):
         # <w,b|P_cl|w,d> = delta_bd |w_b|^2
         M.reshape(-1)[:: self.d + 1] += coeff * np.abs(w) ** 2
+
+    def add_cond_matvec(self, out, coeff, w, x):
+        out += coeff * np.abs(w) ** 2 * x
+        return out
+
+    def cond_drift(self, w, w_prev):
+        # a diagonal difference: its largest entry
+        return float(np.abs(np.abs(w) ** 2 - np.abs(w_prev) ** 2).max())
 
 
 class SwapKronFactor(_Factor):
@@ -194,6 +255,10 @@ class SwapKronFactor(_Factor):
 
     def dense(self):
         return np.kron(self.block, self.block) @ SwapFactor(self.n).dense()
+
+    def norm(self):
+        # ||(m (x) m) V|| = ||m (x) m|| = ||m||^2, V being unitary
+        return float(np.linalg.norm(self.block, 2)) ** 2
 
 
 class BlockReversalFactor(_BridgeFactor):
@@ -221,12 +286,23 @@ class BlockReversalFactor(_BridgeFactor):
         out[np.arange(self.dim), cols.reshape(-1)] = 1.0
         return out
 
+    def _swapped(self, w):
+        """vw, the within-half swap of w."""
+        return np.ascontiguousarray(w.reshape(self.s, self.s).T).reshape(-1)
+
     def add_bridge_cond(self, M, coeff, w, ww):
         # <w,b|R|w,d> = (vw)_b conj((vw)_d) with vw the within-half swap;
         # M.T is a Fortran view, so the rank-one update writes M in place
-        s = self.s
-        vw = np.ascontiguousarray(w.reshape(s, s).T).reshape(-1)
+        vw = self._swapped(w)
         _ZGERU(coeff, vw.conj(), vw, a=M.T, overwrite_a=1)
+
+    def add_cond_matvec(self, out, coeff, w, x):
+        vw = self._swapped(w)
+        return _ZAXPY(vw, out, a=coeff * _ZDOTC(vw, x))
+
+    def cond_drift(self, w, w_prev):
+        # vw is a permutation of w, so the swap's closed form holds as is
+        return _rank_one_drift(w, w_prev)
 
 
 class ClassicalSwapFactor(_BridgeFactor):
@@ -256,6 +332,17 @@ class ClassicalSwapFactor(_BridgeFactor):
     def add_bridge_cond(self, M, coeff, w, ww):
         # <w,b|T|w,d> = conj(w_b) w_tb delta_{d,tb}
         M[np.arange(self.m), self._swapped] += coeff * (w.conj() * w[self._swapped])
+
+    def add_cond_matvec(self, out, coeff, w, x):
+        t = self._swapped
+        out += coeff * (w.conj() * w[t] * x[t])
+        return out
+
+    def cond_drift(self, w, w_prev):
+        # one entry per row and column (t is a permutation), so the norm
+        # is the largest |entry| of the difference
+        t = self._swapped
+        return float(np.abs(w.conj() * w[t] - w_prev.conj() * w_prev[t]).max())
 
 
 def _as_factor(obj):
@@ -307,6 +394,24 @@ def _term_plan(coeff, factors):
     return coeff, shape, tuple(gathers), tuple(actions), tuple(scatter) if gathers else None
 
 
+def _apply_plan(plan, x, out, scale=1.0):
+    """out + scale * (sum of the ``_term_plan`` terms of ``plan``) x, for
+    flat x and out of the plan's total dim; out is written in place
+    where BLAS allows, and returned."""
+    for coeff, shape, gathers, actions, scatter in plan:
+        y = x.reshape(shape)
+        for axis, cols in gathers:
+            y = np.take(y, cols, axis=axis)
+        for factor, view in actions:
+            y = factor.act(y.reshape(view))
+        if scatter is None:
+            out = _ZAXPY(y.reshape(-1), out, a=scale * coeff)
+        else:
+            block = out.reshape(shape)[scatter]
+            block += (scale * coeff) * y.reshape(block.shape)
+    return out
+
+
 @dataclass(frozen=True)
 class StructuredOperator:
     """sum_t coeff_t * (F_t1 (x) F_t2 (x) ...), applied without kron.
@@ -351,19 +456,24 @@ class StructuredOperator:
         total = self.total_dim
         if x.size != total:
             raise DimensionError(f"vector size {x.size}, expected {total}")
-        out = np.zeros(total, dtype=np.complex128)
-        for coeff, shape, gathers, actions, scatter in self._plan:
-            y = x.reshape(shape)
-            for axis, cols in gathers:
-                y = np.take(y, cols, axis=axis)
-            for factor, view in actions:
-                y = factor.act(y.reshape(view))
-            if scatter is None:
-                out = _ZAXPY(y.reshape(-1), out, a=coeff)
-            else:
-                block = out.reshape(shape)[scatter]
-                block += coeff * y.reshape(block.shape)
-        return out
+        return _apply_plan(self._plan, x, np.zeros(total, dtype=np.complex128))
+
+    def norm_bound(self):
+        """A proven upper bound on ||S||_2: sum_t |c_t| prod_f ||F_tf||_2
+        over the merged terms (triangle inequality; the identities and
+        partial permutations a plan leaves out of its actions have norm
+        1), raised by a rounding allowance of 4 (N + t) eps relative, N
+        the total dim and t the term count.  Each computed factor norm is
+        a largest singular value, within about 2 m eps relative of the
+        exact one at side m; a term's factor sides sum to at most N, and
+        the products and the sum of t terms add at most t rounding steps
+        of their own."""
+        total = sum(
+            abs(coeff) * math.prod(factor.norm() for factor, _ in actions)
+            for coeff, _, _, actions, _ in self._plan
+        )
+        eps = np.finfo(np.float64).eps
+        return total * (1.0 + 4.0 * (self.total_dim + len(self._plan)) * eps)
 
     def expectation(self, x):
         """<x|S|x> with the float-noise imaginary part dropped."""

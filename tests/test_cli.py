@@ -20,6 +20,7 @@ from witnesskit.families import (
     w_xyz,
 )
 from witnesskit.operators import HermitianOperator, operator_from_json, operator_to_json
+from witnesskit.sampling import random_density, rng_for
 
 
 def _write_operator(tmp_path, name, op):
@@ -227,6 +228,20 @@ def test_lift_state_report(tmp_path, capsys):
     probes = res["probes"]
     assert probes["component_linearity_gap"]["value"] <= 1e-10
     assert probes["seesaw_minprod"]["value"] >= -1e-6
+
+
+def test_lift_reports_y_norm_bound(tmp_path, capsys):
+    # the witness lift's bound is its closed form; the state lift's, the
+    # triangle inequality over its terms, lies at or above the Ritz value
+    rho = random_density(rng_for(66), (1, 2))
+    for name, X, mode in (("bw.json", bell_state_witness(), "witness"), ("rho.json", rho, "state")):
+        path = _write_operator(tmp_path, name, X)
+        code, report = _run(capsys, ["lift", path, "--mode", mode])
+        assert code == cli.EXIT_OK
+        res = report["results"]
+        assert res["y_norm"]["value"] <= res["y_norm_bound"]["value"]
+        if mode == "witness":
+            assert res["y_norm_bound"]["value"] == res["y_norm"]["value"]
 
 
 def test_lift_witness_dump_dense(tmp_path, capsys):

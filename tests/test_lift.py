@@ -361,6 +361,35 @@ def test_lift_state_dense_structure():
     )
 
 
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([(1, 2), (2, 1), (2, 2)]),
+    alpha=st.floats(0.05, 3.0),
+    beta=st.floats(0.05, 3.0),
+    gamma=st.floats(0.05, 3.0),
+)
+@example(seed=None, dims=(2, 2), alpha=1.0, beta=1.0, gamma=1.0)  # the probe's I/4
+def test_state_lift_y_norm_is_below_its_proven_bound(seed, dims, alpha, beta, gamma):
+    # y_norm is a Lanczos Ritz value, at or below ||Y||; y_norm_bound is
+    # the triangle inequality over the merged terms, at or above it
+    if seed is None:
+        rho = HermitianOperator(dims, np.eye(4) / 4.0)
+    else:
+        rho = random_density(rng_for(seed), dims)
+    s = rho.side**2
+    lifted = lift_state(rho, alpha, beta, min(gamma, beta * s * s), cfg=CFG)
+    assert lifted.y_norm <= lifted.y_norm_bound
+    if lifted.operator.total_dim <= 256:
+        exact = np.abs(np.linalg.eigvalsh(lifted.symmetric_part.to_dense())).max()
+        assert exact <= lifted.y_norm_bound
+
+
+def test_witness_lift_y_norm_bound_is_the_closed_form():
+    lifted = lift_witness(bell_state_witness(), cfg=CFG)
+    assert lifted.y_norm_bound == lifted.y_norm == lift._witness_lift_norm(bell_state_witness())
+
+
 def test_lift_state_diagonal_floor():
     lifted = lift_state(_small_state(), 1.0, 1.0, 1.0, cfg=CFG)
     rng = rng_for(59)

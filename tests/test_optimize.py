@@ -218,8 +218,10 @@ def _counted(counts, name, routine):
 
 def test_krylov_half_steps_match_zheevr_on_state_lift_probe(monkeypatch):
     # restart 0 of the registry's state-lift probe at seed 0: every
-    # half-step must agree with zheevr; each half's first solve seeds its
-    # gap bound with zheevr, and the bound certifies all the others
+    # half-step must agree with zheevr on the same conditioned matrix;
+    # each half's first solve seeds its gap bound with zheevr, and the
+    # bound certifies all the others.  The half-steps are matrix-free, so
+    # the reference is the operator's dense build.
     rho = HermitianOperator((2, 2), np.eye(4) / 4.0)
     lifted = lift_state(rho, 1.0, 1.0, 1.0, cfg=OptimizerConfig(seed=0))
     cfg = OptimizerConfig(restarts=1, seed=0, max_sweeps=80)
@@ -229,10 +231,12 @@ def test_krylov_half_steps_match_zheevr_on_state_lift_probe(monkeypatch):
 
     def compare(M, start=None, bound=None):
         assert start is not None
+        assert isinstance(M, optimize._Conditioned)
         pair = ground_pair(M, start, bound)
         assert pair is not None
         lam, vec = pair
-        vals, vecs = scipy.linalg.eigh(M, lower=False, subset_by_index=(0, 1), driver="evr")
+        dense = M.dense()
+        vals, vecs = scipy.linalg.eigh(dense, lower=False, subset_by_index=(0, 1), driver="evr")
         assert abs(lam - vals[0]) <= 1e-12 * abs(vals[0])
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
         if vals[1] - vals[0] > 1e-9 * (1.0 + abs(lam)):
@@ -249,6 +253,67 @@ def test_krylov_half_steps_match_zheevr_on_state_lift_probe(monkeypatch):
     assert run.value == checked[-1]
     assert lapack == {"heevr": 2}
     assert len(checked) - lapack["heevr"] == 158
+
+
+def test_state_lift_probe_builds_dense_only_for_zheevr(monkeypatch):
+    # the registry's seed-0 probe (four restarts, 80 sweeps, 640
+    # half-steps): at most 8 zheevr calls, one dense conditioned matrix
+    # for each and no other, and its value as before the half-steps
+    # went matrix-free
+    rho = HermitianOperator((2, 2), np.eye(4) / 4.0)
+    lifted = lift_state(rho, 1.0, 1.0, 1.0, cfg=OptimizerConfig(seed=0))
+    cfg = OptimizerConfig(restarts=4, seed=0, max_sweeps=80)
+    counts = {"heevr": 0, "half_steps": 0, "dense": 0}
+    conditioned = optimize._SplitKernel._conditioned
+
+    def counted_dense(kernel, w, pinned, free, d):
+        counts["dense"] += 1 if w.ndim == 1 else w.shape[0]
+        return conditioned(kernel, w, pinned, free, d)
+
+    monkeypatch.setattr(optimize, "_HEEVR", _counted(counts, "heevr", optimize._HEEVR))
+    monkeypatch.setattr(optimize, "_ground_pair", _counted(counts, "half_steps", optimize._ground_pair))
+    monkeypatch.setattr(optimize._SplitKernel, "_conditioned", counted_dense)
+    res = min_product_expectation(lifted.operator, cfg, dims=(256, 256))
+    assert counts["half_steps"] == 2 * cfg.restarts * cfg.max_sweeps
+    assert counts["heevr"] <= 8
+    assert counts["half_steps"] - counts["heevr"] >= 632
+    assert counts["dense"] == counts["heevr"]
+    assert abs(res.value - 0.49810657405824127) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    weights=st.sampled_from([(1.0, 0.7, 1.3), (0.5, 2.0, 0.3)]),
+)
+@example(seed=None, weights=(1.0, 1.0, 1.0))  # the probe: I/4, two bridges
+def test_matrix_free_product_and_drift_bound(seed, weights):
+    # state lifts of random (2,2) states with gamma != beta carry all four
+    # bridge atoms.  The matrix-free product must match the dense
+    # conditioned matrix, and the drift bound must dominate the true
+    # ||M(w) - M(w')||_2 for random, equal and orthogonal pairs.
+    if seed is None:
+        rho, rng = HermitianOperator((2, 2), np.eye(4) / 4.0), rng_for(57)
+    else:
+        rng = rng_for(seed)
+        rho = random_density(rng, (2, 2))
+    kernel = _SplitKernel(lift_state(rho, *weights).operator, dims=(256, 256))
+    assert len(kernel._bridges) == (2 if weights[1] == weights[2] else 4)
+    for half in ("A", "B"):
+        dense_of = kernel.cond_a if half == "A" else kernel.cond_b
+        w = random_unit_vector(rng, 256)
+        other = random_unit_vector(rng, 256)
+        ortho = other - np.vdot(w, other) * w
+        ortho /= np.linalg.norm(ortho)
+        (op,) = kernel.conditioned(half, w[None])
+        D = dense_of(w)
+        for x in (random_unit_vector(rng, 256), w):
+            ref = D @ x
+            assert np.linalg.norm(op.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+        for w2 in (other, w.copy(), ortho):
+            (op2,) = kernel.conditioned(half, w2[None])
+            true = np.abs(np.linalg.eigvalsh(D - dense_of(w2))).max()
+            assert op.drift(op2) >= true
 
 
 def _bound_at(M, floor):

@@ -215,6 +215,24 @@ def test_factor_blocks_must_be_square_and_nonempty():
             factory(np.zeros((0, 0)))
 
 
+def test_factor_norms_match_dense():
+    # norm() is the 2-norm of the factor's dense form: a singular value
+    # for a block, ||m||^2 for (m (x) m) V, 1 for every structural atom
+    rng = rng_for(67)
+    m = random_hermitian(rng, (3,)).entries
+    factors = [
+        DenseFactor(m),
+        SwapKronFactor(m),
+        IdentityFactor(4),
+        SwapFactor(3),
+        ClassicalProjectorFactor(3),
+        BlockReversalFactor(2),
+        ClassicalSwapFactor(2),
+    ]
+    for f in factors:
+        assert f.norm() == pytest.approx(np.linalg.norm(f.dense(), 2), rel=1e-13)
+
+
 def test_half_involution_projector_algebra():
     # (1/2)(I (x) I +- V (x) V) on (C^2 (x) C^2)^(x2); the lift's sandwich
     # projector is the + sign
