@@ -24,27 +24,26 @@ fifth to a third of a separate LAPACK call's; numpy's LAPACK is safe
 there because matrices that small never start a BLAS thread pool.  Larger
 halves solve row by row with LAPACK's MRRR driver ``zheevr`` for the
 lowest eigenvalue alone rather than a full ``eigh`` (about 3x cheaper
-at 256 dims).  Halves of ``_KRYLOV_MIN_SIDE`` (128) dims and up first
-try a capped Lanczos run (``_lanczos``) from the previous iterate,
-which sits next to the answer.  Its pair is kept only if its residual
-puts an eigenvalue within delta = 1e-9 (1 + |lambda|) of lambda and a
-carried gap bound proves that eigenvalue the lowest: each row carries,
-per half, a proven lower bound on lambda_2 of the matrix it last
-solved, seeded by ``zheevr`` and lowered at each later half-step by an
-upper bound on ||M - M_prev||_2 (Weyl's inequality).  Otherwise
-``zheevr`` solves the half-step and reseeds the bound.
+at 256 dims); a dense operator solves every such half-step that way.
 
-On a structured operator those half-steps are matrix-free
+On a structured operator, the half-steps whose free half has
+``_KRYLOV_MIN_SIDE`` (128) dims or more are matrix-free
 (``_Conditioned``): the weights c_k Re<w|L_k|w> and the products
 M x = sum_k w_k R_k x + bridges go through the split rows' own
 factors, O(d) to O(d^1.5) each, and the bridge atoms' closed forms.
-The drift bound is then sum_k |w_k - w'_k| nu_k plus the bridges'
-closed forms, O(r + d), with nu_k >= ||R_k||_2 fixed at build; and the
-dense conditioned matrix is built only when ``zheevr`` runs.  Dense
-operators keep dense matrices and the Frobenius drift ||M - M_prev||_F.
-The 256-dim state-lift probe certifies 158 of a restart's 160
-half-steps, in 3 Lanczos steps each, and builds the dense matrix for
-the other 2.
+Such a half-step first tries a capped Lanczos run (``_lanczos``) from
+the previous iterate, which sits next to the answer.  Its pair is kept
+only if its residual puts an eigenvalue within delta = 1e-9
+(1 + |lambda|) of lambda and a carried gap bound proves that
+eigenvalue the lowest: each row carries, per half, a proven lower
+bound on lambda_2 of the matrix it last solved, seeded by ``zheevr``
+and lowered at each later half-step by an upper bound on
+||M - M_prev||_2 (Weyl's inequality), sum_k |w_k - w'_k| nu_k plus the
+bridges' closed forms, O(r + d), with nu_k >= ||R_k||_2 fixed at
+build.  Otherwise the dense conditioned matrix is built, and
+``zheevr`` solves the half-step and reseeds the bound.  The 256-dim
+state-lift probe certifies 158 of a restart's 160 half-steps, in 3
+Lanczos steps each, and builds the dense matrix for the other 2.
 
 Plain sweeps are alternating least squares, which crawls through flat
 valleys: on Choi sigma, 19 of 64 restarts at seed 0 reached the
@@ -212,11 +211,14 @@ class _SplitKernel:
     (``_half_operator``): the ``_term_plan`` terms of its parts, over
     Hermitized factors, and its norm bound nu.  ``conditioned`` then
     hands the see-saw one ``_Conditioned`` per row for a free half of
-    that size; the flattened rows serve the dense build that ``zheevr``
-    needs.  Those products run the plans through
-    ``structured._apply_plan``, not ``StructuredOperator.matvec``, which
-    stays the whole-space product.  ``_scale`` is the kernel's Frobenius
-    scale of the rounding allowance (``_gap_slack``).
+    that size, the only half-steps that try Lanczos and carry a gap
+    bound; the flattened rows serve the dense build that ``zheevr``
+    needs.  This is the one place the side rule is decided: every other
+    half-step, of a dense kernel at any side, is a dense stack.  Those
+    products run the plans through ``structured._apply_plan``, not
+    ``StructuredOperator.matvec``, which stays the whole-space product.
+    ``_scale`` is the kernel's Frobenius scale of the rounding allowance
+    (``_gap_slack``).
     """
 
     def __init__(self, X, dims=None):
@@ -517,16 +519,17 @@ class _Restart:
 _HEEVR = get_lapack_funcs("heevr", dtype=np.complex128)
 
 
-_ZHEMV, _ZNRM2, _ZDOTC, _ZCOPY, _ZAXPY = get_blas_funcs(
-    ("hemv", "nrm2", "dotc", "copy", "axpy"), dtype=np.complex128
-)
+_ZNRM2, _ZDOTC = get_blas_funcs(("nrm2", "dotc"), dtype=np.complex128)
 _EPS = np.finfo(np.float64).eps
 
-# Halves from this side up try the warm-started Krylov solve first.  With
-# a ground gap half the spread and a start 1e-2 off the ground vector (one
-# BLAS thread), a certified answer costs 0.39/0.53/0.92 ms against
-# 0.23/1.1/6.6 ms for zheevr at side 64/128/256.  The cap of 20 steps keeps
-# a failed try below zheevr: 0.93/1.5 ms on small-gap random 128/256 input.
+# Free halves of a structured kernel from this side up are matrix-free
+# and try the warm-started Krylov solve first (``_SplitKernel``).  One
+# BLAS thread, best of 20, from a start 1e-2 off the ground vector: on the
+# 256-dim state-lift probe a certified try costs 0.21 ms against 8.2 ms
+# for the dense build and a two-pair zheevr.  The cap of 20 steps keeps a
+# failed try below that build and zheevr on the random (2,128)/(2,256)
+# split rows of four dense terms, 1.1/4.4 ms against 1.3/8.5 ms; at side
+# 64 it would cost 0.80 against 0.26 ms.
 _KRYLOV_MIN_SIDE = 128
 _KRYLOV_MAX_STEPS = 20
 
@@ -561,25 +564,21 @@ def _gap_slack(n):
     """Rounding allowance of the carried gap bound at side n, relative to
     a Frobenius scale: 4 n^2 eps (5.8e-11 at n = 256).
 
-    On a dense M the scale is ||M||_F.  The allowance covers the rounding
-    of ||M - M_prev||_F (a sum of 2 n^2 squares), zheevr's backward error
-    in lambda_2, and the gap between the Hermitian part (M + M^H) / 2,
-    which the bound follows, and the upper triangle that the eigensolvers
-    read: at most ||M - M^H||_F / 2, which the kernel's GEMMs keep near
-    3e-18 ||M||_F on the 256-dim probe (measured).
-
-    On a matrix-free ``_Conditioned`` the scale is the kernel's
-    sigma = sum_k |c_k| ||L_k||_F ||R_k||_F + sum_b |c_b|, fixed at build.
-    It bounds ||M||_F on every unit pinned vector (|w_k| <= |c_k|
-    ||L_k||_2, and a conditioned bridge has Frobenius norm at most
-    |c_b|), so the allowance is never below the dense one.  Besides the
-    items above it covers the gap between the Hermitian M~ that the
-    matrix-free product applies and the dense D that zheevr solves at a
-    reseed.  A weight, computed through either path, is a sum of at most
-    2 n^2 products and lies within 2 n^2 eps |c_k| ||L_k||_F of the exact
-    one (Cauchy-Schwarz on the entries); each entry of D adds r + 2
+    The scale is the kernel's sigma = sum_k |c_k| ||L_k||_F ||R_k||_F +
+    sum_b |c_b|, fixed at build (``_Conditioned.allowance``).  It bounds
+    ||M||_F on every unit pinned vector (|w_k| <= |c_k| ||L_k||_2, and a
+    conditioned bridge has Frobenius norm at most |c_b|).  The allowance
+    covers zheevr's backward error in lambda_2, and the gap between the
+    Hermitian part (D + D^H) / 2 of the dense D that zheevr solves at a
+    reseed and the upper triangle that it reads: at most ||D - D^H||_F
+    / 2, which the kernel's GEMMs keep near 3e-18 ||D||_F on the 256-dim
+    probe (measured).  It also covers the gap between D and the
+    Hermitian M~ that the matrix-free product applies.  A weight,
+    computed through either path, is a sum of at most 2 n^2 products
+    and lies within 2 n^2 eps |c_k| ||L_k||_F of the exact one
+    (Cauchy-Schwarz on the entries); each entry of D adds r + 2
     rounding steps; so ||D - M~||_2 <= ||D - M~||_F <= (2 n^2 + r + 2)
-    eps sigma to first order.  It also covers the rounding of the
+    eps sigma to first order.  Last, it covers the rounding of the
     product in the residual test, at most n steps an entry."""
     return 4.0 * n * n * _EPS
 
@@ -588,19 +587,16 @@ class _GapBound:
     """What a see-saw row carries from one half-step of a half to the next.
 
     ``floor`` is a proven lower bound on lambda_2 of ``prev``, the
-    conditioned matrix the row solved last (-inf before the first
-    solve).  ``prev`` is that matrix as the solve got it: a dense array,
-    whose Hermitian part the bound follows (``diff`` is the reused buffer
-    for M - prev), or a matrix-free ``_Conditioned``, which holds only its
-    weights and pinned vector, O(r + d) numbers in place of a d-by-d
-    matrix.  Either is held, not copied: the caller must not change it
-    afterwards.
+    matrix-free ``_Conditioned`` the row solved last (-inf before the
+    first solve), which holds only its weights and pinned vector,
+    O(r + d) numbers in place of a d-by-d matrix.  It is held, not
+    copied: the caller must not change it afterwards.
     """
 
-    __slots__ = ("prev", "floor", "diff")
+    __slots__ = ("prev", "floor")
 
     def __init__(self):
-        self.prev = self.diff = None
+        self.prev = None
         self.floor = -math.inf
 
 
@@ -621,44 +617,29 @@ def _tridiagonal_ground(alphas, betas):
 
 
 def _krylov_ground_pair(M, start, floor):
-    """Ground pair of M by Lanczos from ``start``, or None if uncertified.
+    """Ground pair of the matrix-free ``_Conditioned`` M by Lanczos from
+    ``start``, or None if uncertified.
 
-    M is a dense Hermitian array or a matrix-free ``_Conditioned``.  Up to
-    ``_KRYLOV_MAX_STEPS`` Lanczos steps run until the lowest Ritz pair's
-    residual estimate is at most delta (else None); the step's
-    tridiagonal is solved by ``_tridiagonal_ground``.  An answer (lam,
-    x), with lam the Rayleigh quotient of the unit Ritz vector x, is
-    returned only if ||Mx - lam x|| <= delta, with delta = 1e-9
-    (1 + |lam|) the see-saw's own monotonicity slack, and lam + delta
-    lies below ``floor`` less the rounding allowance (``_gap_slack``).
-    The residual puts an eigenvalue within delta of lam; ``floor`` is a
-    proven lower bound on lambda_2 of M, so that eigenvalue is lambda_1,
-    and x lies within angle delta / (floor - lam) of the ground vector.
-    No reorthogonalization is needed for an extreme pair (Paige, Linear
-    Algebra Appl. 34, 1980), and the final residual is measured, not
-    estimated.  An excited pair that Lanczos reached from a start with
-    no ground-state component lies at or above lambda_2 and fails the
-    test, and so does any pair of a degenerate ground space.
-
-    A dense M is read in its upper triangle, as ``zheevr`` does: the
-    Fortran view M.T holds it as its lower triangle, so BLAS works on
-    conj(M), which has the same spectrum and conjugate eigenvectors,
-    without a copy.  A ``_Conditioned`` supplies its own product.
+    Up to ``_KRYLOV_MAX_STEPS`` Lanczos steps on ``M.matvec`` run until
+    the lowest Ritz pair's residual estimate is at most delta (else
+    None); the step's tridiagonal is solved by ``_tridiagonal_ground``.
+    An answer (lam, x), with lam the Rayleigh quotient of the unit Ritz
+    vector x, is returned only if ||Mx - lam x|| <= delta, with delta =
+    1e-9 (1 + |lam|) the see-saw's own monotonicity slack, and lam +
+    delta lies below ``floor`` less the rounding allowance
+    (``M.allowance``).  The residual puts an eigenvalue within delta of
+    lam; ``floor`` is a proven lower bound on lambda_2 of M, so that
+    eigenvalue is lambda_1, and x lies within angle delta / (floor -
+    lam) of the ground vector.  No reorthogonalization is needed for an
+    extreme pair (Paige, Linear Algebra Appl. 34, 1980), and the final
+    residual is measured, not estimated.  An excited pair that Lanczos
+    reached from a start with no ground-state component lies at or above
+    lambda_2 and fails the test, and so does any pair of a degenerate
+    ground space.
     """
-    n = M.shape[0]
-    if isinstance(M, np.ndarray):
-        A = M.T
-        limit = floor - _gap_slack(n) * _ZNRM2(M.reshape(-1))
-        pair = _lanczos_ground_pair(lambda q: _ZHEMV(1.0, A, q, lower=1), start.conj(), limit)
-        return None if pair is None else (pair[0], pair[1].conj())
-    return _lanczos_ground_pair(M.matvec, start, floor - M.allowance)
-
-
-def _lanczos_ground_pair(matvec, start, limit):
-    """The certified pair of ``_krylov_ground_pair`` for a Hermitian
-    ``matvec``, with ``limit`` the floor less its allowance."""
+    limit = floor - M.allowance
     basis = []
-    steps = _lanczos(matvec, start / _ZNRM2(start))
+    steps = _lanczos(M.matvec, start / _ZNRM2(start))
     for alphas, betas, beta, q in itertools.islice(steps, _KRYLOV_MAX_STEPS):
         basis.append(q)
         val, vec = _tridiagonal_ground(alphas, betas)
@@ -668,7 +649,7 @@ def _lanczos_ground_pair(matvec, start, limit):
         return None
     y = vec @ np.array(basis)
     y /= _ZNRM2(y)
-    Ay = matvec(y)
+    Ay = M.matvec(y)
     lam = float(_ZDOTC(y, Ay).real)
     delta = 1e-9 * (1.0 + abs(lam))
     if _ZNRM2(Ay - lam * y) > delta or lam + delta >= limit:
@@ -687,63 +668,47 @@ def _lowest_pairs(M, count):
 
 
 def _ground_pair(M, start=None, bound=None):
-    """Lowest eigenvalue and a unit eigenvector of a complex Hermitian M,
-    a dense array (only its upper triangle is read) or a matrix-free
-    ``_Conditioned``.
+    """Lowest eigenvalue and a unit eigenvector of a complex Hermitian M:
+    a dense array (only its upper triangle is read) without a ``bound``,
+    else a matrix-free ``_Conditioned``.
 
     The see-saw calls it row by row for halves larger than
     ``_STACKED_EIGH_MAX_SIDE``; smaller ones are solved as a stack by
-    ``_ground_pairs``.  The raw LAPACK call, not ``scipy.linalg.eigh``,
-    keeps the per-call overhead low.  Without a ``bound``, and for sides
-    below ``_KRYLOV_MIN_SIDE``, LAPACK ``zheevr`` computes the pair.
+    ``_ground_pairs``.  A dense M is solved by LAPACK ``zheevr``; the raw
+    LAPACK call, not ``scipy.linalg.eigh``, keeps the per-call overhead
+    low.
 
-    From that side up, the see-saw passes the row's ``_GapBound`` for
-    this half, with ``start`` the vector the solve replaces.  The bound's
-    floor first drops by (1 + ``_gap_slack``) times an upper bound on
-    ||M - prev||_2.  For a dense M that is ||M - prev||_F of the two
-    arrays, which bounds the distance of their Hermitian parts.  For a
-    ``_Conditioned`` it is ``drift``, O(r + d) work: the two matrices are
-    sum_k w_k R_k + sum_b c_b B_b(w) at two weight vectors and two pinned
-    vectors, so by the triangle inequality ||M - prev||_2 <= sum_k
-    |w_k - w'_k| ||R_k||_2 + sum_b |c_b| ||B_b(w) - B_b(w')||_2, each
-    ||R_k||_2 is at most its row's nu_k (the triangle inequality again,
-    with ||A (x) B|| = ||A|| ||B||), and each bridge term has a closed
-    form; the (1 + ``_gap_slack``) factor covers the relative rounding of
-    the bound and of the nu_k, whose singular values are within a few
-    side-many ulps of the exact ones.  Either way, by Weyl's inequality
-    the floor still bounds lambda_2 of M.  A capped Lanczos run is then
-    kept if ``_krylov_ground_pair`` certifies it by that floor, the only
-    certificate.  Otherwise, and on a bound's first solve, ``zheevr``
-    computes lambda_1 and lambda_2 and reseeds the floor at lambda_2 less
-    its rounding allowance, so a spent floor is renewed at the next
-    failed test; a ``_Conditioned`` builds its dense matrix for this
-    solve alone.  M is kept as the bound's new ``prev``.
+    A ``_Conditioned`` comes with its row's ``_GapBound`` for this half,
+    and ``start`` the vector the solve replaces.  The bound's floor first
+    drops by (1 + ``_gap_slack``) times ``M.drift(prev)``, an upper bound
+    on ||M - prev||_2 in O(r + d) work: the two matrices are sum_k w_k
+    R_k + sum_b c_b B_b(w) at two weight vectors and two pinned vectors,
+    so by the triangle inequality ||M - prev||_2 <= sum_k |w_k - w'_k|
+    ||R_k||_2 + sum_b |c_b| ||B_b(w) - B_b(w')||_2, each ||R_k||_2 is at
+    most its row's nu_k (the triangle inequality again, with
+    ||A (x) B|| = ||A|| ||B||), and each bridge term has a closed form;
+    the (1 + ``_gap_slack``) factor covers the relative rounding of the
+    bound and of the nu_k, whose singular values are within a few
+    side-many ulps of the exact ones.  By Weyl's inequality the floor
+    still bounds lambda_2 of M.  A capped Lanczos run is then kept if
+    ``_krylov_ground_pair`` certifies it by that floor, the only
+    certificate.  Otherwise, and on a bound's first solve, M builds its
+    dense matrix for this solve alone, and ``zheevr`` computes lambda_1
+    and lambda_2 and reseeds the floor at lambda_2 less the rounding
+    allowance, so a spent floor is renewed at the next failed test.  M is
+    kept as the bound's new ``prev``.
     """
-    n = M.shape[0]
-    dense = isinstance(M, np.ndarray)
-    if bound is None or n < _KRYLOV_MIN_SIDE:
-        vals, vecs = _lowest_pairs(M if dense else M.dense(), 1)
+    if bound is None:
+        vals, vecs = _lowest_pairs(M, 1)
         return float(vals[0]), vecs[:, 0]
     prev, bound.prev = bound.prev, M
     if prev is not None:
-        if dense:
-            if bound.diff is None:
-                bound.diff = np.empty(M.size, dtype=np.complex128)
-            diff = _ZCOPY(M.reshape(-1), bound.diff)
-            diff = _ZAXPY(prev.reshape(-1), diff, a=-1.0)
-            drift = math.sqrt(_ZDOTC(diff, diff).real)
-        else:
-            drift = M.drift(prev)
-        bound.floor -= (1.0 + _gap_slack(n)) * drift
+        bound.floor -= (1.0 + _gap_slack(M.shape[0])) * M.drift(prev)
         pair = _krylov_ground_pair(M, start, bound.floor)
         if pair is not None:
             return pair
-    if dense:
-        vals, vecs = _lowest_pairs(M, 2)
-        bound.floor = float(vals[1]) - _gap_slack(n) * _ZNRM2(M.reshape(-1))
-    else:
-        vals, vecs = _lowest_pairs(M.dense(), 2)
-        bound.floor = float(vals[1]) - M.allowance
+    vals, vecs = _lowest_pairs(M.dense(), 2)
+    bound.floor = float(vals[1]) - M.allowance
     return float(vals[0]), vecs[:, 0]
 
 
@@ -771,18 +736,21 @@ def _ground_pairs(M, starts, bounds):
     start a BLAS thread pool.  With the default two BLAS threads on two
     cores, the tasks of a ``seesaw-small`` pass took 1.1 s, against
     4.2 to 4.6 s for the per-restart loop this replaced.  Larger sides
-    solve row by row with ``_ground_pair``, each warm-started from its
-    row of ``starts`` and carrying its row's ``_GapBound`` of ``bounds``;
-    M may then also be a list of matrix-free ``_Conditioned``, one a row
-    (``_SplitKernel.conditioned``).
+    solve row by row with ``zheevr`` (``_ground_pair``).
+
+    M may also be a list of matrix-free ``_Conditioned``, one a row
+    (``_SplitKernel.conditioned``); only then does each row's solve
+    start from its row of ``starts`` and carry its row's ``_GapBound``
+    of ``bounds``.
     """
-    if isinstance(M, np.ndarray) and M.shape[-1] <= _STACKED_EIGH_MAX_SIDE:
+    free = isinstance(M, list)
+    if not free and M.shape[-1] <= _STACKED_EIGH_MAX_SIDE:
         vals, vecs = np.linalg.eigh(M, UPLO="U")
         return vals[:, 0], vecs[:, :, 0]
     lams = np.empty(len(M))
     vecs = np.empty_like(starts)
-    for i, (m, start, bound) in enumerate(zip(M, starts, bounds)):
-        lams[i], vecs[i] = _ground_pair(m, start, bound)
+    for i, m in enumerate(M):
+        lams[i], vecs[i] = _ground_pair(m, starts[i], bounds[i]) if free else _ground_pair(m)
     return lams, vecs
 
 
@@ -905,8 +873,9 @@ def _seesaw_rows(kernel, cfg, lo, starts):
     Each half-step solves every active row at once.  A row keeps its
     own checks: the monotonicity guard, the sweep tolerance and the
     ``max_sweeps`` cap; it leaves the stack once it converges.  When
-    either half has ``_KRYLOV_MIN_SIDE`` dims or more, a row carries one
-    ``_GapBound`` per half (a smaller half never reads its own).
+    the kernel has matrix-free halves (``_SplitKernel``), a row carries
+    one ``_GapBound`` per half; a half whose conditioned matrices come
+    as a dense stack never reads its own.
 
     When both halves have at most ``_STACKED_EIGH_MAX_SIDE`` dims and the
     kernel has no bridge terms, the rows still active after the
@@ -928,7 +897,7 @@ def _seesaw_rows(kernel, cfg, lo, starts):
     else:
         value = np.array([m.expectation(v) for m, v in zip(M, V)])
     bounds = np.empty((idx.size, 2), dtype=object)  # None: no bound
-    if max(kernel.d_a, kernel.d_b) >= _KRYLOV_MIN_SIDE:
+    if kernel._free is not None:
         bounds.flat = [_GapBound() for _ in range(bounds.size)]
     # bridge terms have no split halves to score a line with
     jumps = max(kernel.d_a, kernel.d_b) <= _STACKED_EIGH_MAX_SIDE and not kernel._bridges

@@ -1,9 +1,11 @@
 """Value-type behavior: construction guards, spectra, partial
 transpose, product expectations, JSON round trips."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from witnesskit.operators import (
@@ -186,18 +188,32 @@ def test_conditioned_matrix_reproduces_expectation():
         conditioned_matrix(X, "A", pv.v)
 
 
-def test_json_round_trip(tmp_path):
-    rng = rng_for(19)
-    X = random_hermitian(rng, (2, 3))
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=25,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+)
+@example(seed=19, dims=[2, 3])
+def test_json_round_trip(tmp_path, seed, dims):
+    # the document passes through JSON text and back bitwise, dims
+    # included; so does a file written by save_operator (each example
+    # overwrites the same file)
+    X = random_hermitian(rng_for(seed), tuple(dims))
     doc = operator_to_json(X)
-    assert doc["dims"] == [2, 3]
-    back = operator_from_json(doc)
-    np.testing.assert_allclose(back.entries, X.entries, atol=1e-15)
+    assert doc["dims"] == dims
+    back = operator_from_json(json.loads(json.dumps(doc)))
+    assert back.dims == X.dims
+    assert back.entries.tobytes() == X.entries.tobytes()
     path = tmp_path / "x.json"
     save_operator(X, str(path))
     loaded = load_operator(str(path))
     assert loaded.dims == X.dims
-    np.testing.assert_allclose(loaded.entries, X.entries, atol=1e-15)
+    assert loaded.entries.tobytes() == X.entries.tobytes()
 
 
 def test_json_im_optional_and_validated():

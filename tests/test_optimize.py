@@ -316,10 +316,33 @@ def test_matrix_free_product_and_drift_bound(seed, weights):
             assert op.drift(op2) >= true
 
 
+class _DenseConditioned:
+    """A dense Hermitian M behind ``optimize._Conditioned``'s interface,
+    so the Krylov certificate runs on a prescribed spectrum: the product
+    M x, the Frobenius drift ||M - M_prev||_F, which bounds
+    ||M - M_prev||_2, and the allowance at the scale ||M||_F."""
+
+    def __init__(self, M):
+        self.M, self.shape = M, M.shape
+
+    @property
+    def allowance(self):
+        return optimize._gap_slack(self.shape[0]) * optimize._ZNRM2(self.M.reshape(-1))
+
+    def matvec(self, x):
+        return self.M @ x
+
+    def drift(self, prev):
+        return float(np.linalg.norm(self.M - prev.M))
+
+    def dense(self):
+        return self.M
+
+
 def _bound_at(M, floor):
     """A gap bound that last solved M and holds ``floor`` for it."""
     bound = optimize._GapBound()
-    bound.prev, bound.floor = M, floor
+    bound.prev, bound.floor = _DenseConditioned(M), floor
     return bound
 
 
@@ -338,7 +361,8 @@ def test_krylov_rejects_excited_pair_from_wrong_block():
     start[128:] = Q[:, 0] + 1e-3 * random_unit_vector(rng, 128)
     start /= np.linalg.norm(start)
     lam2 = np.linalg.eigvalsh(M)[1]
-    assert _krylov_ground_pair(M, start, lam2) is None
+    op = _DenseConditioned(M)
+    assert _krylov_ground_pair(op, start, lam2) is None
     lam, vec = _ground_pair(M, start)
     ref_lam, ref_vec = _ground_pair(M)
     assert lam == ref_lam
@@ -346,23 +370,24 @@ def test_krylov_rejects_excited_pair_from_wrong_block():
     assert lam == pytest.approx(0.0, abs=1e-12)
     # the carried-bound path refuses it too and falls back to zheevr
     bound = _bound_at(M.copy(), lam2)
-    lam, vec = _ground_pair(M, start, bound)
+    lam, vec = _ground_pair(op, start, bound)
     ref_lam, ref_vec = optimize._lowest_pairs(M, 2)
     assert lam == ref_lam[0]
     np.testing.assert_array_equal(vec, ref_vec[:, 0])
-    assert bound.prev is M and bound.floor <= ref_lam[1]
+    assert bound.prev is op and bound.floor <= ref_lam[1]
 
 
 def test_krylov_falls_back_on_small_gap():
     M = random_hermitian(rng_for(62), (256,)).entries
     start = random_unit_vector(rng_for(63), 256)
-    assert _krylov_ground_pair(M, start, np.linalg.eigvalsh(M)[1]) is None
+    op = _DenseConditioned(M)
+    assert _krylov_ground_pair(op, start, np.linalg.eigvalsh(M)[1]) is None
     lam, vec = _ground_pair(M, start)
     ref_lam, ref_vec = _ground_pair(M)
     assert lam == ref_lam
     np.testing.assert_array_equal(vec, ref_vec)
     # with a carried bound the failed try falls back to zheevr as well
-    lam, vec = _ground_pair(M, start, _bound_at(M.copy(), -np.inf))
+    lam, vec = _ground_pair(op, start, _bound_at(M.copy(), -np.inf))
     ref_lam, ref_vec = optimize._lowest_pairs(M, 2)
     assert lam == ref_lam[0]
     np.testing.assert_array_equal(vec, ref_vec[:, 0])
@@ -376,13 +401,14 @@ def test_krylov_degenerate_ground_space():
     start = Q[:, :3] @ random_unit_vector(rng, 3) + 1e-3 * random_unit_vector(rng, 256)
     start /= np.linalg.norm(start)
     lam2 = np.linalg.eigvalsh(M)[1]
-    assert _krylov_ground_pair(M, start, lam2) is None
+    op = _DenseConditioned(M)
+    assert _krylov_ground_pair(op, start, lam2) is None
     bound = _bound_at(M.copy(), lam2)
-    lam, vec = _ground_pair(M, start, bound)
+    lam, vec = _ground_pair(op, start, bound)
     ref_lam, ref_vec = optimize._lowest_pairs(M, 2)
     assert lam == ref_lam[0]
     np.testing.assert_array_equal(vec, ref_vec[:, 0])
-    assert bound.prev is M and bound.floor <= ref_lam[1]
+    assert bound.prev is op and bound.floor <= ref_lam[1]
     assert abs(lam) <= 1e-12
     # any unit vector of the ground space is a valid answer
     assert np.linalg.norm(Q[:, :3].conj().T @ vec) >= 1.0 - 1e-10
@@ -412,7 +438,7 @@ def test_carried_gap_bound_stays_below_lambda_2(seed, gap, drift, steps):
                 step = drift * gap / (steps - 1) * E / np.linalg.norm(E)
                 total += np.linalg.norm(step)
                 M = M + step
-            lam, vec = _ground_pair(M, start, bound)
+            lam, vec = _ground_pair(_DenseConditioned(M), start, bound)
             start = vec
             ref = scipy.linalg.eigh(M, lower=False, eigvals_only=True, subset_by_index=(0, 1), driver="evr")
             assert abs(lam - ref[0]) <= 1e-9 * (1.0 + abs(lam))
@@ -441,14 +467,15 @@ def test_krylov_step_cap_falls_back_to_zheevr(monkeypatch):
     M, Q = _spectral_matrix(rng, np.concatenate([[0.0], np.linspace(0.5, 1.0, n - 1)]))
     start = _near_ground_start(rng, Q, 1e-2)
     ref_lam, ref_vec = optimize._lowest_pairs(M, 2)
-    assert _krylov_ground_pair(M, start, ref_lam[1]) is not None
+    op = _DenseConditioned(M)
+    assert _krylov_ground_pair(op, start, ref_lam[1]) is not None
     monkeypatch.setattr(optimize, "_KRYLOV_MAX_STEPS", 1)
-    assert _krylov_ground_pair(M, start, ref_lam[1]) is None
+    assert _krylov_ground_pair(op, start, ref_lam[1]) is None
     bound = _bound_at(M.copy(), ref_lam[1])
-    lam, vec = _ground_pair(M, start, bound)
+    lam, vec = _ground_pair(op, start, bound)
     assert lam == ref_lam[0]
     np.testing.assert_array_equal(vec, ref_vec[:, 0])
-    assert bound.prev is M
+    assert bound.prev is op
     assert bound.floor == ref_lam[1] - optimize._gap_slack(n) * optimize._ZNRM2(M.reshape(-1))
 
 
@@ -468,13 +495,53 @@ def test_krylov_pair_is_the_ground_pair(seed, gap, offset):
     M, Q = _spectral_matrix(rng, np.concatenate([[0.0], gap + np.linspace(0.0, 1.0, n - 1)]))
     start = _near_ground_start(rng, Q, offset)
     vals, vecs = optimize._lowest_pairs(M, 2)
-    pair = _krylov_ground_pair(M, start, vals[1])
+    pair = _krylov_ground_pair(_DenseConditioned(M), start, vals[1])
     if pair is None:
         return
     lam, vec = pair
     assert abs(lam - vals[0]) <= 1e-9 * (1.0 + abs(lam))
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
     assert abs(np.vdot(vecs[:, 0], vec)) >= 1.0 - 1e-10
+
+
+def test_unbalanced_split_tries_krylov_only_on_structured_free_halves(monkeypatch):
+    # one random (2,128) operator, dense and as its terms G_k (x) R_k
+    # over the Pauli basis: the dense kernel solves its 128-dim half-steps
+    # with zheevr alone; the structured one tries Lanczos on its
+    # matrix-free 128-dim free half and solves its 2-dim free half with
+    # the stacked eigh
+    X = random_hermitian(rng_for(66), (2, 128))
+    tens = X.entries.reshape(2, 128, 2, 128)
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    basis = paulis / np.sqrt(2.0)
+    S = StructuredOperator(
+        (2, 128),
+        [(1.0, (DenseFactor(G), DenseFactor(np.einsum("ca,abcd->bd", G, tens)))) for G in basis],
+    )
+    np.testing.assert_allclose(S.to_dense(), X.entries, atol=1e-12)
+    cfg = OptimizerConfig(restarts=4, seed=0)
+    calls = {"krylov": 0}
+    solved = []
+    ground_pairs = optimize._ground_pairs
+
+    def recorded(M, starts, bounds):
+        solved.append((type(M).__name__, M[0].shape[0]))
+        return ground_pairs(M, starts, bounds)
+
+    monkeypatch.setattr(optimize, "_ground_pairs", recorded)
+    monkeypatch.setattr(
+        optimize, "_krylov_ground_pair", _counted(calls, "krylov", optimize._krylov_ground_pair)
+    )
+    dense = min_product_expectation(X, cfg)
+    assert calls["krylov"] == 0
+    assert set(solved) == {("ndarray", 2), ("ndarray", 128)}
+    solved.clear()
+    structured = min_product_expectation(S, cfg, dims=(2, 128))
+    assert calls["krylov"] > 0
+    # the list holds one matrix-free ``_Conditioned`` a row; the dense
+    # 2-by-2 stacks take the stacked eigh
+    assert set(solved) == {("list", 128), ("ndarray", 2)}
+    assert abs(structured.value - dense.value) <= 1e-8
 
 
 def test_structured_conditioned_matrices_match_dense():
