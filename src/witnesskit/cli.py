@@ -33,6 +33,7 @@ from .lift import (
     lift_witness,
     lifted_dim,
     negative_direction,
+    projector_sandwich_gap,
     state_expectation_components,
     symmetric_expectation_gap,
 )
@@ -165,7 +166,9 @@ def cmd_minprod(args):
 def _lift_probes(lifted, cfg):
     """Diagnostic block shared by both lift modes."""
     probes = {
-        "projector_invariance_gap": _num(lifted.projector_invariance_gap, 1e-8),
+        "projector_invariance_gap": _num(
+            projector_sandwich_gap(lifted.symmetric_part, seed=cfg.seed), 1e-8
+        ),
     }
     if lifted.source_kind == "witness":
         probes["symmetric_expectation_gap"] = _num(

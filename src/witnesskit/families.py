@@ -23,7 +23,7 @@ from .operators import (
     partial_transpose,
     product_expectation,
 )
-from .lift import lift_state, lift_witness, operator_norm, symmetric_expectation_gap
+from .lift import lift_state, lift_witness, operator_norm, projector_sandwich_gap, symmetric_expectation_gap
 from .optimize import (
     OptimizerConfig,
     decomposition_search,
@@ -564,7 +564,7 @@ def _build_lift_identity(cfg):
         "expectation_identity_gap": symmetric_expectation_gap(
             lifted, n_probes=20, seed=cfg.seed
         ),
-        "projector_invariance_gap": lifted.projector_invariance_gap,
+        "projector_invariance_gap": projector_sandwich_gap(lifted.symmetric_part, seed=cfg.seed),
     }
 
 

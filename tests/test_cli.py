@@ -228,6 +228,7 @@ def test_lift_state_report(tmp_path, capsys):
     probes = res["probes"]
     assert probes["component_linearity_gap"]["value"] <= 1e-10
     assert probes["seesaw_minprod"]["value"] >= -1e-6
+    assert probes["projector_invariance_gap"]["value"] <= 1e-8
 
 
 def test_lift_reports_y_norm_bound(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from witnesskit import lift
-from witnesskit.families import bell_state_witness
+from witnesskit.families import bell_state_witness, get_case, run_case
 from witnesskit.lift import (
     MAX_LIFT_TOTAL,
     LiftedWitness,
@@ -180,7 +180,7 @@ def test_lift_witness_reference_constant():
     assert lifted.constant == pytest.approx(162.0 / 4096.0, abs=1e-15)
     assert lifted.y_norm == pytest.approx(81.0 / 4096.0, abs=1e-12)
     assert lifted.constant == pytest.approx(2.0 * inf_norm(W) ** 4, abs=1e-12)
-    assert lifted.projector_invariance_gap <= 1e-12
+    assert projector_sandwich_gap(lifted.symmetric_part) <= 1e-12
     assert len(lifted.operator.terms) == 4
 
 
@@ -211,6 +211,8 @@ def test_witness_lift_norm_is_fourth_power(seed, dims, ratio, mix):
     closed = inf_norm(W) ** 4
     assert abs(operator_norm(lifted.symmetric_part) - closed) <= 1e-8 * closed
     assert lifted.y_norm == pytest.approx(closed, rel=1e-14)
+    # Y = (W4 + W4 K) / 2 commutes with K by construction
+    assert projector_sandwich_gap(lifted.symmetric_part) <= 1e-12 * lifted.y_norm_bound
 
 
 def test_lift_witness_dense_agreement():
@@ -380,6 +382,8 @@ def test_state_lift_y_norm_is_below_its_proven_bound(seed, dims, alpha, beta, ga
     s = rho.side**2
     lifted = lift_state(rho, alpha, beta, min(gamma, beta * s * s), cfg=CFG)
     assert lifted.y_norm <= lifted.y_norm_bound
+    # each term of (A + A K) / 2 commutes with K by construction
+    assert projector_sandwich_gap(lifted.symmetric_part) <= 1e-12 * lifted.y_norm_bound
     if lifted.operator.total_dim <= 256:
         exact = np.abs(np.linalg.eigvalsh(lifted.symmetric_part.to_dense())).max()
         assert exact <= lifted.y_norm_bound
@@ -453,6 +457,24 @@ def test_sandwich_probe_flags_lopsided_operator():
         [(1.0, (DenseFactor(np.diag([1.0, 2.0])), IdentityFactor(8)))],
     )
     assert projector_sandwich_gap(lopsided) > 1e-3
+
+
+def test_lifts_do_not_probe_their_sandwich_symmetry(monkeypatch):
+    # the K-symmetry holds by construction, so neither lift measures it;
+    # the registry case measures it itself, with the seed of its config
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lift path ran the sandwich probe")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lift, "projector_sandwich_gap", refuse)
+        lift_state(HermitianOperator((1, 2), np.eye(2) / 2.0), 1, 1, 1)
+        lift_witness(bell_state_witness())
+    cfg = OptimizerConfig(restarts=8, seed=3)
+    rows = {row["quantity"]: row for row in run_case(get_case("lift-expectation-identity"), cfg).rows}
+    expected = projector_sandwich_gap(
+        lift_witness(bell_state_witness(), cfg=cfg).symmetric_part, seed=cfg.seed
+    )
+    assert rows["projector_invariance_gap"]["measured"] == expected
 
 
 def test_lifted_witness_invariant_guard():
